@@ -13,6 +13,7 @@ writers; run one client per worker instead.
 
 from __future__ import annotations
 
+import math
 import queue
 import subprocess
 import sys
@@ -110,7 +111,10 @@ class BridgeClient:
     """Owns one scorer process; replays unanswered requests after a crash.
 
     A reader thread drains the child's stdout into a queue so reply waits
-    can time out without blocking forever on a pipe.
+    can time out without blocking forever on a pipe.  After a timeout or a
+    protocol error the child is killed and respawned with a fresh queue
+    before the error is raised, so a late reply can never be taken as the
+    answer to a later request.
     """
 
     def __init__(self, config: BridgeConfig):
@@ -141,8 +145,9 @@ class BridgeClient:
 
     @staticmethod
     def _drain(stream: TextIO, sink: queue.Queue) -> None:
-        for line in stream:
-            sink.put(line)
+        with stream:
+            for line in stream:
+                sink.put(line)
         sink.put(_EOF)
 
     def close(self) -> None:
@@ -157,6 +162,19 @@ class BridgeClient:
         except (OSError, subprocess.TimeoutExpired):
             proc.kill()
             proc.wait()
+
+    def _respawn(self) -> None:
+        proc = self._proc
+        self._proc = None
+        if proc is not None:
+            proc.kill()
+            proc.wait()
+            try:
+                if proc.stdin:
+                    proc.stdin.close()
+            except OSError:
+                pass
+        self._spawn()
 
     def __enter__(self) -> "BridgeClient":
         return self
@@ -182,6 +200,9 @@ class BridgeClient:
             try:
                 self._send_and_collect(pending, base_index + len(answered), answered)
                 return answered
+            except (BridgeTimeoutError, ProtocolError):
+                self._respawn()
+                raise
             except BridgeCrashError:
                 # Replies received before the crash are kept; only the
                 # unanswered remainder is replayed after the restart.
@@ -192,8 +213,7 @@ class BridgeClient:
                         f"(batch starting at {base_index})"
                     ) from None
                 restarts_left -= 1
-                self.close()
-                self._spawn()
+                self._respawn()
 
     def _send_and_collect(
         self,
@@ -227,6 +247,10 @@ class BridgeClient:
                 raise ProtocolError(
                     f"scorer reply is not a number: {line!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise ProtocolError(
+                    f"scorer reply for request {first_index + offset} is not finite: {line!r}"
+                )
             sink.append(value)
 
 

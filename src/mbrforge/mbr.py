@@ -63,15 +63,12 @@ class UtilitySpec:
     when averaging (the literal all-candidates loop); switch it off for
     the exclude-self variant.  ``uses_source`` controls whether the source
     segment is forwarded to the scorer; native metrics never consume it,
-    so it defaults to True only for external scorers.  ``symmetric``
-    declares utility(a, b) == utility(b, a), enabling per-unordered-pair
-    caching; BLEU and chrF are asymmetric, so it is off by default.
+    so it defaults to True only for external scorers.
     """
 
     kind: str = "native-chrf"
     include_self: bool = True
     uses_source: bool | None = None
-    symmetric: bool = False
     # native-bleu parameters
     max_order: int = 4
     smoothing: str = "add-k"
@@ -150,29 +147,28 @@ def make_scorer(spec: UtilitySpec) -> BatchScorer:
     """
     if spec.kind == "native-bleu":
 
-        def score_bleu(triples: Sequence[tuple[str, str, str]]) -> list[float]:
-            out = []
-            for _src, mt, ref in triples:
-                hyp = metrics.tokenize(mt, spec.tokenize_scheme)
-                refs = [metrics.tokenize(ref, spec.tokenize_scheme)]
-                out.append(
-                    metrics.sentence_bleu(
-                        hyp, refs, spec.max_order, spec.smoothing, spec.epsilon
-                    ).value
-                )
-            return out
+        def bleu_features(text: str) -> metrics.NgramCounts:
+            tokens = metrics.tokenize(text, spec.tokenize_scheme)
+            return metrics.word_ngram_counts(tokens, spec.max_order)
 
-        return score_bleu
+        def bleu_pair(hyp: metrics.NgramCounts, ref: metrics.NgramCounts) -> float:
+            stats = metrics.bleu_stats_from_counts(hyp, [ref])
+            return metrics.score_from_bleu_stats(
+                stats, spec.max_order, spec.smoothing, spec.epsilon
+            ).value
+
+        return _native_scorer(bleu_features, bleu_pair)
 
     if spec.kind == "native-chrf":
 
-        def score_chrf(triples: Sequence[tuple[str, str, str]]) -> list[float]:
-            return [
-                metrics.sentence_chrf(mt, ref, spec.char_order, spec.beta).value
-                for _src, mt, ref in triples
-            ]
+        def chrf_features(text: str) -> metrics.NgramCounts:
+            return metrics.char_ngram_counts(text, spec.char_order)
 
-        return score_chrf
+        def chrf_pair(hyp: metrics.NgramCounts, ref: metrics.NgramCounts) -> float:
+            stats = metrics.chrf_stats_from_counts(hyp, ref)
+            return metrics.score_from_chrf_stats(stats, spec.beta).value
+
+        return _native_scorer(chrf_features, chrf_pair)
 
     client = BridgeClient(spec.bridge)
 
@@ -182,6 +178,28 @@ def make_scorer(spec: UtilitySpec) -> BatchScorer:
 
     score_external.client = client  # type: ignore[attr-defined]
     return score_external
+
+
+def _native_scorer(
+    features: Callable[[str], metrics.NgramCounts],
+    pair_score: Callable[[metrics.NgramCounts, metrics.NgramCounts], float],
+) -> BatchScorer:
+    """Batch scorer that builds each distinct string's features once per call.
+
+    The memo lives for one call only, so memory stays bounded by a batch.
+    """
+
+    def score(triples: Sequence[tuple[str, str, str]]) -> list[float]:
+        memo: dict[str, metrics.NgramCounts] = {}
+
+        def feats(text: str) -> metrics.NgramCounts:
+            if text not in memo:
+                memo[text] = features(text)
+            return memo[text]
+
+        return [pair_score(feats(mt), feats(ref)) for _src, mt, ref in triples]
+
+    return score
 
 
 def close_scorer(scorer: BatchScorer) -> None:
@@ -201,32 +219,34 @@ def utility_matrix(
     spec: UtilitySpec,
     scorer: BatchScorer | None = None,
 ) -> UtilityMatrix:
-    """Score all candidate pairs of one segment and pick the best row."""
+    """Score all candidate pairs of one segment and pick the best row.
+
+    Each distinct candidate string is scored once: the scorer sees the
+    d x d pairs of the d distinct strings (in first-occurrence order), and
+    the scores are expanded back into the full n x n grid.
+    """
     if not 0 <= segment_index < cset.num_segments:
         raise DataError(
             f"segment index {segment_index} out of range 0..{cset.num_segments - 1}"
         )
+    row = cset.candidates[segment_index]
+    src = cset.sources[segment_index] if spec.uses_source else ""
+    n = len(row)
+    slot: dict[str, int] = {}
+    for text in row:
+        slot.setdefault(text, len(slot))
+    distinct = list(slot)
+    d = len(distinct)
     own_scorer = scorer is None
     if own_scorer:
         scorer = make_scorer(spec)
     try:
-        row = cset.candidates[segment_index]
-        src = cset.sources[segment_index] if spec.uses_source else ""
-        n = len(row)
-        if spec.symmetric:
-            pairs = [(c, r) for c in range(n) for r in range(c, n)]
-        else:
-            pairs = [(c, r) for c in range(n) for r in range(n)]
-        triples = [(src, row[c], row[r]) for c, r in pairs]
-        scores = scorer(triples)
-        grid = [[0.0] * n for _ in range(n)]
-        for (c, r), score in zip(pairs, scores):
-            grid[c][r] = score
-            if spec.symmetric:
-                grid[r][c] = score
+        scores = scorer([(src, mt, ref) for mt in distinct for ref in distinct])
     finally:
         if own_scorer:
             close_scorer(scorer)
+    offsets = [slot[text] for text in row]
+    grid = [[scores[i * d + j] for j in offsets] for i in offsets]
     means = []
     for c in range(n):
         refs = [r for r in range(n) if spec.include_self or r != c]

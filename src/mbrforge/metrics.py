@@ -21,14 +21,17 @@ empty segments therefore score a vacuous 100.
 from __future__ import annotations
 
 import math
+import operator
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 from .errors import AlignmentError
 
 TokenSequence = list[str]
+NgramCounts = tuple[Counter, ...]  # index k holds the (k+1)-gram counts
 
 TOKENIZE_SCHEMES = ("whitespace", "punctuation-split")
 
@@ -105,36 +108,49 @@ class BleuStats:
         )
 
 
-def bleu_stats(
-    hyp: Sequence[str], refs: Sequence[Sequence[str]], max_order: int = 4
-) -> BleuStats:
-    """Clipped match/total counts and lengths for one segment.
+def word_ngram_counts(tokens: Sequence[str], max_order: int = 4) -> NgramCounts:
+    """Word n-gram counts of one segment for orders 1..max_order.
 
-    Clipping caps each hypothesis n-gram count at the maximum count seen in
-    any single reference.  The reference length used for the brevity
-    penalty is the one closest to the hypothesis length (shorter wins
-    ties).
+    Built once per segment; BLEU statistics for any pairing follow from
+    these counts alone.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
+    return tuple(ngram_counts(tokens, order) for order in range(1, max_order + 1))
+
+
+def bleu_stats_from_counts(hyp: NgramCounts, refs: Sequence[NgramCounts]) -> BleuStats:
+    """Clipped match/total counts and lengths from prebuilt n-gram counts.
+
+    Clipping caps each hypothesis n-gram count at the maximum count seen in
+    any single reference, i.e. ``hyp & (ref1 | ref2 | ...)``.  The reference
+    length used for the brevity penalty is the one closest to the
+    hypothesis length (shorter wins ties).
+    """
     if not refs:
         raise ValueError("at least one reference is required")
     matches = []
     totals = []
-    for order in range(1, max_order + 1):
-        hyp_counts = ngram_counts(hyp, order)
-        clipped = 0
-        for gram, count in hyp_counts.items():
-            best_ref = max(ngram_counts(ref, order).get(gram, 0) for ref in refs)
-            clipped += min(count, best_ref)
-        matches.append(clipped)
+    for order, hyp_counts in enumerate(hyp):
+        ref_max = reduce(operator.or_, (ref[order] for ref in refs))
+        matches.append(sum((hyp_counts & ref_max).values()))
         totals.append(sum(hyp_counts.values()))
-    hyp_len = len(hyp)
+    hyp_len = totals[0]
     ref_len = min(
-        (len(ref) for ref in refs),
+        (sum(ref[0].values()) for ref in refs),
         key=lambda rl: (abs(rl - hyp_len), rl),
     )
     return BleuStats(tuple(matches), tuple(totals), hyp_len, ref_len)
+
+
+def bleu_stats(
+    hyp: Sequence[str], refs: Sequence[Sequence[str]], max_order: int = 4
+) -> BleuStats:
+    """Clipped match/total counts and lengths for one tokenized segment."""
+    return bleu_stats_from_counts(
+        word_ngram_counts(hyp, max_order),
+        [word_ngram_counts(ref, max_order) for ref in refs],
+    )
 
 
 def score_from_bleu_stats(
@@ -223,8 +239,25 @@ def corpus_bleu(
     return score_from_bleu_stats(total, max_order, smoothing, epsilon)
 
 
-def _strip_whitespace(segment: str) -> str:
-    return "".join(segment.split())
+def char_ngram_counts(segment: str, char_order: int = 6) -> NgramCounts:
+    """Character n-gram counts for orders 1..char_order, whitespace removed."""
+    if char_order < 1:
+        raise ValueError("char_order must be >= 1")
+    chars = "".join(segment.split())
+    return tuple(
+        Counter(chars[i : i + order] for i in range(len(chars) - order + 1))
+        for order in range(1, char_order + 1)
+    )
+
+
+def chrf_stats_from_counts(
+    hyp: NgramCounts, ref: NgramCounts
+) -> list[tuple[int, int, int]]:
+    """(hyp_total, ref_total, matched) per order from prebuilt char n-gram counts."""
+    return [
+        (sum(h.values()), sum(r.values()), sum((h & r).values()))
+        for h, r in zip(hyp, ref)
+    ]
 
 
 def char_ngram_stats(hyp: str, ref: str, char_order: int = 6) -> list[tuple[int, int, int]]:
@@ -232,17 +265,9 @@ def char_ngram_stats(hyp: str, ref: str, char_order: int = 6) -> list[tuple[int,
 
     Whitespace is removed from both segments before extraction.
     """
-    if char_order < 1:
-        raise ValueError("char_order must be >= 1")
-    hyp = _strip_whitespace(hyp)
-    ref = _strip_whitespace(ref)
-    stats = []
-    for order in range(1, char_order + 1):
-        hyp_counts = Counter(hyp[i : i + order] for i in range(len(hyp) - order + 1))
-        ref_counts = Counter(ref[i : i + order] for i in range(len(ref) - order + 1))
-        matched = sum((hyp_counts & ref_counts).values())
-        stats.append((sum(hyp_counts.values()), sum(ref_counts.values()), matched))
-    return stats
+    return chrf_stats_from_counts(
+        char_ngram_counts(hyp, char_order), char_ngram_counts(ref, char_order)
+    )
 
 
 def score_from_chrf_stats(

@@ -25,6 +25,14 @@ def main() -> None:
     elif mode == "echo-mt":
         # The mt field carries a number; reply with it to expose ordering.
         run_scorer_loop(lambda req: float(req.mt))
+    elif mode == "delayed-echo":
+        # Sleep for the number of seconds in src, then echo the mt number,
+        # so a test can make one chosen request answer late.
+        def delayed_echo(req):
+            time.sleep(float(req.src))
+            return float(req.mt)
+
+        run_scorer_loop(delayed_echo)
     elif mode == "check-fields":
         expected = (sys.argv[2], sys.argv[3], sys.argv[4])
 

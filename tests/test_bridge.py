@@ -188,3 +188,28 @@ class TestMisbehaviour:
         with BridgeClient(config) as client:
             with pytest.raises(BridgeTimeoutError, match="request 0"):
                 client.score([ScoreRequest("s", "m", "r")])
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_reply_is_protocol_error(self, value):
+        with BridgeClient(double_config("constant", value)) as client:
+            with pytest.raises(ProtocolError, match="not finite"):
+                client.score([ScoreRequest("s", "m", "r")])
+
+    @pytest.mark.parametrize(
+        "first_call, error",
+        [
+            # The reply to mt="1" arrives after the client gave up on it.
+            ([ScoreRequest("1.5", "1", "r")], BridgeTimeoutError),
+            # The reply to mt="1" is still queued behind the rejected NaN.
+            ([ScoreRequest("0", "nan", "r"), ScoreRequest("0", "1", "r")], ProtocolError),
+        ],
+        ids=["timeout", "protocol-error"],
+    )
+    def test_abandoned_reply_never_reaches_the_next_call(self, first_call, error):
+        config = double_config("delayed-echo", timeout=1.0)
+        with BridgeClient(config) as client:
+            # Warm up, so the child's start-up does not count against the delay.
+            assert client.score([ScoreRequest("0", "0", "r")]) == [0.0]
+            with pytest.raises(error):
+                client.score(first_call)
+            assert client.score([ScoreRequest("0", "2", "r")]) == [2.0]

@@ -23,11 +23,19 @@ from mbrforge.mbr import (
     segment_matrices,
     utility_matrix,
 )
-from oracles import oracle_chrf, oracle_mbr_row
+from mbrforge.metrics import tokenize
+from oracles import oracle_bleu, oracle_chrf, oracle_mbr_row
 
 DOUBLES = str(Path(__file__).parent / "doubles.py")
 
 segment_st = st.text(alphabet="ab c", min_size=1, max_size=6)
+
+
+@st.composite
+def rows_with_duplicates(draw):
+    """2..6 candidates drawn from fewer distinct strings, so one repeats."""
+    pool = draw(st.lists(segment_st, min_size=1, max_size=3, unique=True))
+    return draw(st.lists(st.sampled_from(pool), min_size=len(pool) + 1, max_size=6))
 
 
 def single_segment(*candidates: str) -> CandidateSet:
@@ -156,18 +164,51 @@ class TestBestIndex:
         assert all(means[i] < top for i in range(idx))
 
 
+ORACLE_UTILITIES = {
+    "native-chrf": oracle_chrf,
+    "native-bleu": lambda hyp, ref: oracle_bleu(
+        tokenize(hyp), [tokenize(ref)], smoothing="add-k"
+    ),
+}
+
+
 class TestOracleAgreement:
+    @pytest.mark.parametrize("kind", list(ORACLE_UTILITIES))
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(segment_st, min_size=2, max_size=4), st.booleans())
-    def test_chrf_selection_matches_oracle(self, candidates, include_self):
+    @given(rows_with_duplicates(), st.booleans())
+    def test_selection_matches_oracle(self, kind, candidates, include_self):
         cset = single_segment(*candidates)
-        spec = UtilitySpec(kind="native-chrf", include_self=include_self)
+        spec = UtilitySpec(kind=kind, include_self=include_self)
         matrix = utility_matrix(cset, 0, spec)
         want_best, want_means = oracle_mbr_row(
-            candidates, oracle_chrf, include_self=include_self
+            candidates, ORACLE_UTILITIES[kind], include_self=include_self
         )
         assert matrix.best_index == want_best
         assert list(matrix.row_means) == want_means
+
+
+class TestDistinctScoring:
+    @settings(max_examples=50, deadline=None)
+    @given(rows_with_duplicates())
+    def test_each_distinct_pair_is_scored_once(self, candidates):
+        spec = UtilitySpec(kind="native-chrf")
+        native = make_scorer(spec)
+        sent = []
+
+        def recording(triples):
+            sent.extend(triples)
+            return native(triples)
+
+        matrix = utility_matrix(single_segment(*candidates), 0, spec, scorer=recording)
+        distinct = list(dict.fromkeys(candidates))
+        assert [(mt, ref) for _src, mt, ref in sent] == [
+            (mt, ref) for mt in distinct for ref in distinct
+        ]
+        n = len(candidates)
+        every_pair = native([("", mt, ref) for mt in candidates for ref in candidates])
+        assert matrix.values == tuple(
+            tuple(every_pair[c * n : (c + 1) * n]) for c in range(n)
+        )
 
 
 class TestLoadCandidates:
