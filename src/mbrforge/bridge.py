@@ -103,8 +103,8 @@ class BridgeConfig:
             raise DataError(
                 f"batch_size must be in 1..{MAX_BATCH_SIZE}, got {self.batch_size}"
             )
-        if self.timeout <= 0:
-            raise DataError("timeout must be positive")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise DataError(f"timeout must be finite and positive, got {self.timeout}")
 
 
 class BridgeClient:

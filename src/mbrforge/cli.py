@@ -17,7 +17,6 @@ import logging
 import os
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import checkpoint, mbr, metrics, promptgen, selftrain
 from .bridge import BridgeConfig
@@ -45,12 +44,12 @@ def _default_workers() -> int:
         return 1
 
 
-def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
+def _add_workers_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
     parser.add_argument(
         "--workers",
         type=int,
         default=_default_workers(),
-        help=f"worker count for per-segment scoring (env {WORKERS_ENV})",
+        help=help_text,
     )
 
 
@@ -121,7 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="fail immediately if the scorer process crashes",
     )
-    _add_workers_flag(p)
+    _add_workers_flag(
+        p,
+        "external-scorer processes for --utility external; native utilities "
+        f"score in one thread (env {WORKERS_ENV})",
+    )
     p.set_defaults(func=cmd_mbr)
 
     p = sub.add_parser(
@@ -149,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="punctuation-split",
         help="tokenization for BLEU",
     )
-    _add_workers_flag(p)
+    _add_workers_flag(p, "accepted for compatibility; has no effect on eval")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
@@ -317,34 +320,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         hyp_tokens = [metrics.tokenize(h, args.tokenize) for h in hyps]
         ref_tokens = [metrics.tokenize(r, args.tokenize) for r in refs]
         if args.sentence_level:
-            def score_one(pair):
-                hyp, ref = pair
-                return metrics.sentence_bleu(hyp, [ref], smoothing=smoothing).value
-
-            values = _map_segments(score_one, list(zip(hyp_tokens, ref_tokens)), args.workers)
-            for value in values:
-                print(f"{value:.2f}")
+            values = [
+                metrics.sentence_bleu(hyp, [ref], smoothing=smoothing).value
+                for hyp, ref in zip(hyp_tokens, ref_tokens)
+            ]
         else:
-            print(f"{metrics.corpus_bleu(hyp_tokens, ref_tokens, smoothing=smoothing).value:.2f}")
+            values = [metrics.corpus_bleu(hyp_tokens, ref_tokens, smoothing=smoothing).value]
+    elif args.sentence_level:
+        values = [metrics.sentence_chrf(hyp, ref).value for hyp, ref in zip(hyps, refs)]
     else:
-        if args.sentence_level:
-            values = _map_segments(
-                lambda pair: metrics.sentence_chrf(pair[0], pair[1]).value,
-                list(zip(hyps, refs)),
-                args.workers,
-            )
-            for value in values:
-                print(f"{value:.2f}")
-        else:
-            print(f"{metrics.corpus_chrf(hyps, refs).value:.2f}")
+        values = [metrics.corpus_chrf(hyps, refs).value]
+    for value in values:
+        print(f"{value:.2f}")
     return EXIT_OK
-
-
-def _map_segments(fn, items, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def cmd_build_st(args: argparse.Namespace) -> int:

@@ -9,8 +9,8 @@ BLEU/chrF metrics or an external scorer reached through the bridge.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import queue
+from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -61,23 +61,12 @@ class UtilitySpec:
 
     ``include_self`` keeps the candidate itself in its own reference set
     when averaging (the literal all-candidates loop); switch it off for
-    the exclude-self variant.  ``uses_source`` controls whether the source
-    segment is forwarded to the scorer; native metrics never consume it,
-    so it defaults to True only for external scorers.
+    the exclude-self variant.  ``bridge`` says how to reach the scorer
+    process of an external utility.
     """
 
     kind: str = "native-chrf"
     include_self: bool = True
-    uses_source: bool | None = None
-    # native-bleu parameters
-    max_order: int = 4
-    smoothing: str = "add-k"
-    epsilon: float = 0.1
-    tokenize_scheme: str = "punctuation-split"
-    # native-chrf parameters
-    char_order: int = 6
-    beta: float = 2.0
-    # external parameters
     bridge: BridgeConfig | None = None
 
     def __post_init__(self) -> None:
@@ -85,10 +74,11 @@ class UtilitySpec:
             raise DataError(f"unknown utility kind: {self.kind!r}")
         if self.kind == "external" and self.bridge is None:
             raise DataError("external utility requires a bridge config")
-        if self.uses_source is None:
-            object.__setattr__(self, "uses_source", self.kind == "external")
-        elif self.uses_source and self.kind != "external":
-            raise DataError("native utilities do not consume the source segment")
+
+    @property
+    def uses_source(self) -> bool:
+        """Only external scorers are sent the source segment."""
+        return self.kind == "external"
 
 
 @dataclass(frozen=True)
@@ -143,18 +133,20 @@ def load_candidates(
 def make_scorer(spec: UtilitySpec) -> BatchScorer:
     """Build a batch scorer for a utility spec.
 
+    Native BLEU is smoothed sentence BLEU (order 4, add-k with k = 0.1,
+    punctuation-split tokens); native chrF is chrF2 (order 6, beta 2).
     External scorers own a child process; call ``close_scorer`` when done.
     """
     if spec.kind == "native-bleu":
 
         def bleu_features(text: str) -> metrics.NgramCounts:
-            tokens = metrics.tokenize(text, spec.tokenize_scheme)
-            return metrics.word_ngram_counts(tokens, spec.max_order)
+            tokens = metrics.tokenize(text, "punctuation-split")
+            return metrics.word_ngram_counts(tokens, max_order=4)
 
         def bleu_pair(hyp: metrics.NgramCounts, ref: metrics.NgramCounts) -> float:
             stats = metrics.bleu_stats_from_counts(hyp, [ref])
             return metrics.score_from_bleu_stats(
-                stats, spec.max_order, spec.smoothing, spec.epsilon
+                stats, max_order=4, smoothing="add-k", epsilon=0.1
             ).value
 
         return _native_scorer(bleu_features, bleu_pair)
@@ -162,11 +154,11 @@ def make_scorer(spec: UtilitySpec) -> BatchScorer:
     if spec.kind == "native-chrf":
 
         def chrf_features(text: str) -> metrics.NgramCounts:
-            return metrics.char_ngram_counts(text, spec.char_order)
+            return metrics.char_ngram_counts(text, char_order=6)
 
         def chrf_pair(hyp: metrics.NgramCounts, ref: metrics.NgramCounts) -> float:
             stats = metrics.chrf_stats_from_counts(hyp, ref)
-            return metrics.score_from_chrf_stats(stats, spec.beta).value
+            return metrics.score_from_chrf_stats(stats, beta=2.0).value
 
         return _native_scorer(chrf_features, chrf_pair)
 
@@ -271,10 +263,13 @@ def segment_matrices(
 ) -> list[UtilityMatrix]:
     """Utility matrices for every segment, in segment order.
 
-    Segments are independent work units; with ``workers > 1`` each worker
-    thread owns its own scorer (and hence its own bridge process), and
-    results are assembled by index so the output never depends on the
-    schedule.
+    Native utilities score every segment in the calling thread with one
+    scorer, whatever ``workers`` says: they are pure Python, so threads
+    would only contend for the interpreter lock.  An external utility runs
+    ``min(workers, num_segments)`` threads, each holding one scorer (and
+    hence one bridge process) while it scores a segment.  Results come back
+    in segment order, so the output never depends on the schedule, and a
+    failed segment cancels the segments that have not started.
     """
     factory = scorer_factory if scorer_factory is not None else (lambda: make_scorer(spec))
 
@@ -284,31 +279,32 @@ def segment_matrices(
         except MbrforgeError as exc:
             raise type(exc)(f"segment {index}: {exc}") from exc
 
-    if workers <= 1:
+    threads = min(workers, cset.num_segments) if spec.kind == "external" else 1
+    if threads <= 1:
         scorer = factory()
         try:
             return [compute(i, scorer) for i in range(cset.num_segments)]
         finally:
             close_scorer(scorer)
 
-    local = threading.local()
-    created: list[BatchScorer] = []
-    lock = threading.Lock()
-
-    def worker_scorer() -> BatchScorer:
-        scorer = getattr(local, "scorer", None)
-        if scorer is None:
-            scorer = factory()
-            local.scorer = scorer
-            with lock:
-                created.append(scorer)
-        return scorer
-
+    scorers: list[BatchScorer] = []
+    idle: queue.SimpleQueue[BatchScorer] = queue.SimpleQueue()
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda i: compute(i, worker_scorer()), range(cset.num_segments)))
+        for _ in range(threads):
+            scorers.append(factory())
+            idle.put(scorers[-1])
+
+        def run(index: int) -> UtilityMatrix:
+            scorer = idle.get()
+            try:
+                return compute(index, scorer)
+            finally:
+                idle.put(scorer)
+
+        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, range(cset.num_segments)))
     finally:
-        for scorer in created:
+        for scorer in scorers:
             close_scorer(scorer)
 
 

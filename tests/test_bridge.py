@@ -94,8 +94,9 @@ class TestConfigValidation:
             BridgeConfig(command=("x",), batch_size=MAX_BATCH_SIZE + 1)
 
     def test_timeout_positive(self):
-        with pytest.raises(DataError):
-            BridgeConfig(command=("x",), timeout=0.0)
+        for timeout in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DataError):
+                BridgeConfig(command=("x",), timeout=timeout)
 
 
 class TestScorerLoop:

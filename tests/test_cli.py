@@ -19,6 +19,7 @@ from mbrforge.textio import read_segments
 from fixtures import TOY_DEMOS, read_golden, toy_chat_doc, write_doc_jsonl
 
 DOUBLES = str(Path(__file__).parent / "doubles.py")
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
 def write_lines(path: Path, lines: list[str]) -> Path:
@@ -542,6 +543,18 @@ class TestEntryPoints:
             text=True,
         )
         assert result.returncode == 0
+
+    def test_demo_pipeline_runs(self, tmp_path):
+        # Covers scripts/chrf_scorer.py too: the demo's last step selects
+        # through it over the bridge and checks it matches native chrF.
+        result = subprocess.run(
+            [sys.executable, str(SCRIPTS / "demo_pipeline.py"), "--workdir", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "byte for byte" in result.stdout
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc_info:

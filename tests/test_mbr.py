@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import sys
+import threading
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from mbrforge.mbr import (
     MbrSelection,
     UtilitySpec,
     best_index,
+    close_scorer,
     format_matrix_dump,
     load_candidates,
     make_scorer,
@@ -44,6 +48,42 @@ def single_segment(*candidates: str) -> CandidateSet:
         systems=tuple(f"sys{i}" for i in range(len(candidates))),
         candidates=(tuple(candidates),),
     )
+
+
+def numbered_segments(m: int) -> CandidateSet:
+    """m segments of three candidates; source i is "s{i}"."""
+    return CandidateSet(
+        sources=tuple(f"s{i}" for i in range(m)),
+        systems=("a", "b", "c"),
+        candidates=tuple(
+            (f"seg {i} alpha", f"seg {i} beta", f"seg {i} alpha beta") for i in range(m)
+        ),
+    )
+
+
+def counting_factory(spec: UtilitySpec):
+    """A scorer factory for ``spec`` that counts the scorers it creates and closes.
+
+    Each scorer also records the thread that called it.
+    """
+    counts = {"created": 0, "closed": 0, "threads": set()}
+
+    def factory():
+        inner = make_scorer(spec)
+        counts["created"] += 1
+
+        def close():
+            counts["closed"] += 1
+            close_scorer(inner)
+
+        def scorer(triples):
+            counts["threads"].add(threading.get_ident())
+            return inner(triples)
+
+        scorer.client = SimpleNamespace(close=close)
+        return scorer
+
+    return factory, counts
 
 
 def exact_match_factory():
@@ -135,10 +175,6 @@ class TestSpecValidation:
     def test_external_requires_bridge(self):
         with pytest.raises(DataError):
             UtilitySpec(kind="external")
-
-    def test_native_never_uses_source(self):
-        with pytest.raises(DataError):
-            UtilitySpec(kind="native-chrf", uses_source=True)
 
     def test_external_uses_source_by_default(self):
         config = BridgeConfig(command=("true",))
@@ -273,6 +309,53 @@ class TestWorkers:
 
         with pytest.raises(DataError, match="segment 0"):
             segment_matrices(cset, UtilitySpec(), scorer_factory=broken_factory)
+
+    def test_native_scores_inline_with_one_scorer(self):
+        cset = numbered_segments(7)
+        spec = UtilitySpec(kind="native-chrf")
+        factory, counts = counting_factory(spec)
+        matrices = segment_matrices(cset, spec, workers=4, scorer_factory=factory)
+        assert matrices == segment_matrices(cset, spec, workers=1)
+        assert (counts["created"], counts["closed"]) == (1, 1)
+        assert counts["threads"] == {threading.get_ident()}
+
+    def test_external_runs_one_scorer_per_worker(self):
+        cset = numbered_segments(7)
+        config = BridgeConfig(command=(sys.executable, DOUBLES, "chrf"))
+        spec = UtilitySpec(kind="external", bridge=config)
+        factory, counts = counting_factory(spec)
+        matrices = segment_matrices(cset, spec, workers=4, scorer_factory=factory)
+        assert matrices == segment_matrices(cset, spec, workers=1)
+        assert (counts["created"], counts["closed"]) == (4, 4)
+
+    def test_external_workers_capped_by_segments(self):
+        cset = numbered_segments(3)
+        config = BridgeConfig(command=(sys.executable, DOUBLES, "chrf"))
+        spec = UtilitySpec(kind="external", bridge=config)
+        factory, counts = counting_factory(spec)
+        segment_matrices(cset, spec, workers=8, scorer_factory=factory)
+        assert counts["created"] <= 3
+        assert counts["closed"] == counts["created"]
+
+    def test_failure_cancels_segments_not_started(self):
+        cset = numbered_segments(20)
+        spec = UtilitySpec(kind="external", bridge=BridgeConfig(command=("unused",)))
+        scored = []
+
+        def factory():
+            def score(triples):
+                src = triples[0][0]
+                if src == "s0":
+                    raise DataError("scorer fell over")
+                time.sleep(0.05)
+                scored.append(src)
+                return [1.0] * len(triples)
+
+            return score
+
+        with pytest.raises(DataError, match="segment 0"):
+            segment_matrices(cset, spec, workers=2, scorer_factory=factory)
+        assert len(scored) < cset.num_segments // 2
 
 
 class TestExternalUtility:
