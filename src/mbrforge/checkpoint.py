@@ -124,6 +124,8 @@ class TensorStore:
                 shape = tuple(int(d) for d in dims.split(","))
             except ValueError as exc:
                 raise DataError(f"bad shape in TSF header: {line!r}") from exc
+            if any(d < 1 for d in shape):
+                raise DataError(f"bad shape in TSF header: {line!r}")
             count = math.prod(shape)
             nbytes = count * 4
             chunk = body[offset : offset + nbytes]

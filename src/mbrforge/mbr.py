@@ -133,34 +133,31 @@ def load_candidates(
 def make_scorer(spec: UtilitySpec) -> BatchScorer:
     """Build a batch scorer for a utility spec.
 
-    Native BLEU is smoothed sentence BLEU (order 4, add-k with k = 0.1,
-    punctuation-split tokens); native chrF is chrF2 (order 6, beta 2).
-    External scorers own a child process; call ``close_scorer`` when done.
+    Native BLEU is add-k smoothed sentence BLEU on punctuation-split
+    tokens; native chrF is sentence chrF.  Both use the fixed parameters
+    of ``metrics``.  External scorers own a child process; call
+    ``close_scorer`` when done.
     """
     if spec.kind == "native-bleu":
 
         def bleu_features(text: str) -> metrics.NgramCounts:
-            tokens = metrics.tokenize(text, "punctuation-split")
-            return metrics.word_ngram_counts(tokens, max_order=4)
+            return metrics.word_ngram_counts(metrics.tokenize(text))
 
         def bleu_pair(hyp: metrics.NgramCounts, ref: metrics.NgramCounts) -> float:
-            stats = metrics.bleu_stats_from_counts(hyp, [ref])
             return metrics.score_from_bleu_stats(
-                stats, max_order=4, smoothing="add-k", epsilon=0.1
+                metrics.bleu_stats_from_counts(hyp, [ref]), smoothing="add-k"
             ).value
 
         return _native_scorer(bleu_features, bleu_pair)
 
     if spec.kind == "native-chrf":
 
-        def chrf_features(text: str) -> metrics.NgramCounts:
-            return metrics.char_ngram_counts(text, char_order=6)
-
         def chrf_pair(hyp: metrics.NgramCounts, ref: metrics.NgramCounts) -> float:
-            stats = metrics.chrf_stats_from_counts(hyp, ref)
-            return metrics.score_from_chrf_stats(stats, beta=2.0).value
+            return metrics.score_from_chrf_stats(
+                metrics.chrf_stats_from_counts(hyp, ref)
+            ).value
 
-        return _native_scorer(chrf_features, chrf_pair)
+        return _native_scorer(metrics.char_ngram_counts, chrf_pair)
 
     client = BridgeClient(spec.bridge)
 

@@ -2,20 +2,21 @@
 
 Both metrics are self-contained (no external scoring harness) and are used
 two ways: as pairwise utilities during candidate selection, and as the
-evaluation commands of the CLI.  Scores live on a 0..100 scale.
+evaluation commands of the CLI.  Scores live on a 0..100 scale.  Their
+parameters are fixed, and defined once, by the module constants below.
 
-BLEU here is the classic recipe: clipped modified n-gram precisions
-combined by a uniform-weight geometric mean and an exponential brevity
-penalty.  Orders for which the hypothesis has no n-grams at all (it is
-shorter than the order) are dropped from the mean, which keeps the
-identity property metric(x, x) = 100 for short segments.  Optional add-k
-smoothing (epsilon added to numerator and denominator) rescues zero-match
-orders at the sentence level.
+BLEU here is the classic recipe: clipped modified n-gram precisions of
+orders 1..BLEU_ORDER combined by a uniform-weight geometric mean and an
+exponential brevity penalty.  Orders for which the hypothesis has no
+n-grams at all (it is shorter than the order) are dropped from the mean,
+which keeps the identity property metric(x, x) = 100 for short segments.
+Optional add-k smoothing (ADD_K added to numerator and denominator)
+rescues zero-match orders at the sentence level.
 
-chrF is the character n-gram F-beta score averaged over orders
-1..char_order, with whitespace removed before n-gram extraction.  Orders
-where neither side has any n-grams are excluded from the average; two
-empty segments therefore score a vacuous 100.
+chrF is the character n-gram F-beta score (beta = CHRF_BETA) averaged
+over orders 1..CHRF_ORDER, with whitespace removed before n-gram
+extraction.  Orders where neither side has any n-grams are excluded from
+the average; two empty segments therefore score a vacuous 100.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import operator
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -34,6 +35,11 @@ TokenSequence = list[str]
 NgramCounts = tuple[Counter, ...]  # index k holds the (k+1)-gram counts
 
 TOKENIZE_SCHEMES = ("whitespace", "punctuation-split")
+
+BLEU_ORDER = 4  # word n-gram orders 1..BLEU_ORDER
+ADD_K = 0.1  # added to matches and totals under add-k smoothing
+CHRF_ORDER = 6  # character n-gram orders 1..CHRF_ORDER
+CHRF_BETA = 2.0  # recall weight of the F-score
 
 
 def tokenize(text: str, scheme: str = "punctuation-split") -> TokenSequence:
@@ -75,14 +81,9 @@ def ngram_counts(tokens: Sequence[str], order: int) -> Counter:
 
 @dataclass(frozen=True)
 class MetricScore:
-    """A 0..100 score with its per-order components.
-
-    ``components`` holds per-order precisions for BLEU and per-order
-    F-scores for chrF.  ``brevity_penalty`` is 1.0 for chrF.
-    """
+    """A 0..100 score; ``brevity_penalty`` is 1.0 for chrF."""
 
     value: float
-    components: tuple[float, ...] = field(default=())
     brevity_penalty: float = 1.0
 
     def __post_init__(self) -> None:
@@ -94,7 +95,7 @@ class MetricScore:
 class BleuStats:
     """Sufficient statistics for BLEU, summable across segments."""
 
-    matches: tuple[int, ...]  # clipped n-gram matches per order 1..max_order
+    matches: tuple[int, ...]  # clipped n-gram matches per order 1..BLEU_ORDER
     totals: tuple[int, ...]  # hypothesis n-gram totals per order
     hyp_len: int
     ref_len: int  # reference length closest to the hypothesis length
@@ -108,15 +109,13 @@ class BleuStats:
         )
 
 
-def word_ngram_counts(tokens: Sequence[str], max_order: int = 4) -> NgramCounts:
-    """Word n-gram counts of one segment for orders 1..max_order.
+def word_ngram_counts(tokens: Sequence[str]) -> NgramCounts:
+    """Word n-gram counts of one segment for orders 1..BLEU_ORDER.
 
     Built once per segment; BLEU statistics for any pairing follow from
     these counts alone.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    return tuple(ngram_counts(tokens, order) for order in range(1, max_order + 1))
+    return tuple(ngram_counts(tokens, order) for order in range(1, BLEU_ORDER + 1))
 
 
 def bleu_stats_from_counts(hyp: NgramCounts, refs: Sequence[NgramCounts]) -> BleuStats:
@@ -143,50 +142,36 @@ def bleu_stats_from_counts(hyp: NgramCounts, refs: Sequence[NgramCounts]) -> Ble
     return BleuStats(tuple(matches), tuple(totals), hyp_len, ref_len)
 
 
-def bleu_stats(
-    hyp: Sequence[str], refs: Sequence[Sequence[str]], max_order: int = 4
-) -> BleuStats:
+def bleu_stats(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> BleuStats:
     """Clipped match/total counts and lengths for one tokenized segment."""
     return bleu_stats_from_counts(
-        word_ngram_counts(hyp, max_order),
-        [word_ngram_counts(ref, max_order) for ref in refs],
+        word_ngram_counts(hyp), [word_ngram_counts(ref) for ref in refs]
     )
 
 
-def score_from_bleu_stats(
-    stats: BleuStats,
-    max_order: int = 4,
-    smoothing: str = "none",
-    epsilon: float = 0.1,
-) -> MetricScore:
+def score_from_bleu_stats(stats: BleuStats, smoothing: str = "none") -> MetricScore:
     """Turn summed BLEU statistics into a score.
 
     With ``smoothing="none"`` any zero precision at an order the
     hypothesis actually covers forces a 0 score; ``"add-k"`` adds
-    ``epsilon`` to match and total counts instead.
+    ``ADD_K`` to match and total counts instead.
     """
     if smoothing not in ("none", "add-k"):
         raise ValueError(f"unknown smoothing: {smoothing!r}")
     if stats.hyp_len == 0:
         # Empty hypothesis: 0 against any real reference, vacuously perfect
         # against an empty one (keeps corpus micro-averaging total).
-        value = 100.0 if stats.ref_len == 0 else 0.0
-        return MetricScore(value, (0.0,) * max_order, brevity_penalty=1.0)
-    precisions = []
+        return MetricScore(100.0 if stats.ref_len == 0 else 0.0)
     log_sum = 0.0
     included = 0
     zero_hit = False
-    for order in range(max_order):
-        total = stats.totals[order]
+    for match, total in zip(stats.matches, stats.totals):
         if total == 0:
-            precisions.append(0.0)
             continue
-        match = stats.matches[order]
         if smoothing == "add-k":
-            p = (match + epsilon) / (total + epsilon)
+            p = (match + ADD_K) / (total + ADD_K)
         else:
             p = match / total
-        precisions.append(p)
         included += 1
         if p == 0.0:
             zero_hit = True
@@ -200,27 +185,20 @@ def score_from_bleu_stats(
         value = 0.0
     else:
         value = 100.0 * bp * math.exp(log_sum / included)
-    return MetricScore(min(value, 100.0), tuple(precisions), brevity_penalty=bp)
+    return MetricScore(min(value, 100.0), brevity_penalty=bp)
 
 
 def sentence_bleu(
-    hyp: Sequence[str],
-    refs: Sequence[Sequence[str]],
-    max_order: int = 4,
-    smoothing: str = "none",
-    epsilon: float = 0.1,
+    hyp: Sequence[str], refs: Sequence[Sequence[str]], smoothing: str = "none"
 ) -> MetricScore:
     """BLEU of one tokenized hypothesis against one or more references."""
-    stats = bleu_stats(hyp, refs, max_order)
-    return score_from_bleu_stats(stats, max_order, smoothing, epsilon)
+    return score_from_bleu_stats(bleu_stats(hyp, refs), smoothing)
 
 
 def corpus_bleu(
     hyps: Sequence[Sequence[str]],
     refs: Sequence[Sequence[str]],
-    max_order: int = 4,
     smoothing: str = "none",
-    epsilon: float = 0.1,
 ) -> MetricScore:
     """Micro-averaged BLEU: counts and lengths are summed over segments.
 
@@ -233,20 +211,18 @@ def corpus_bleu(
         )
     if not hyps:
         raise ValueError("corpus must contain at least one segment")
-    total = bleu_stats(hyps[0], [refs[0]], max_order)
+    total = bleu_stats(hyps[0], [refs[0]])
     for hyp, ref in zip(hyps[1:], refs[1:]):
-        total = total + bleu_stats(hyp, [ref], max_order)
-    return score_from_bleu_stats(total, max_order, smoothing, epsilon)
+        total = total + bleu_stats(hyp, [ref])
+    return score_from_bleu_stats(total, smoothing)
 
 
-def char_ngram_counts(segment: str, char_order: int = 6) -> NgramCounts:
-    """Character n-gram counts for orders 1..char_order, whitespace removed."""
-    if char_order < 1:
-        raise ValueError("char_order must be >= 1")
+def char_ngram_counts(segment: str) -> NgramCounts:
+    """Character n-gram counts for orders 1..CHRF_ORDER, whitespace removed."""
     chars = "".join(segment.split())
     return tuple(
         Counter(chars[i : i + order] for i in range(len(chars) - order + 1))
-        for order in range(1, char_order + 1)
+        for order in range(1, CHRF_ORDER + 1)
     )
 
 
@@ -260,32 +236,24 @@ def chrf_stats_from_counts(
     ]
 
 
-def char_ngram_stats(hyp: str, ref: str, char_order: int = 6) -> list[tuple[int, int, int]]:
-    """(hyp_total, ref_total, matched) per character n-gram order 1..char_order.
+def char_ngram_stats(hyp: str, ref: str) -> list[tuple[int, int, int]]:
+    """(hyp_total, ref_total, matched) per character n-gram order 1..CHRF_ORDER.
 
     Whitespace is removed from both segments before extraction.
     """
-    return chrf_stats_from_counts(
-        char_ngram_counts(hyp, char_order), char_ngram_counts(ref, char_order)
-    )
+    return chrf_stats_from_counts(char_ngram_counts(hyp), char_ngram_counts(ref))
 
 
-def score_from_chrf_stats(
-    stats: Sequence[tuple[int, int, int]], beta: float = 2.0
-) -> MetricScore:
+def score_from_chrf_stats(stats: Sequence[tuple[int, int, int]]) -> MetricScore:
     """Per-order F-beta, then the arithmetic mean over contributing orders.
 
     Orders where both sides have zero n-grams are excluded; if every order
     is excluded (both sides empty) the score is a vacuous 100.
     """
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    beta_sq = beta * beta
-    f_scores = []
+    beta_sq = CHRF_BETA * CHRF_BETA
     included = []
     for hyp_total, ref_total, matched in stats:
         if hyp_total == 0 and ref_total == 0:
-            f_scores.append(0.0)
             continue
         precision = matched / hyp_total if hyp_total > 0 else 0.0
         recall = matched / ref_total if ref_total > 0 else 0.0
@@ -293,24 +261,19 @@ def score_from_chrf_stats(
             f = 0.0
         else:
             f = (1 + beta_sq) * precision * recall / (beta_sq * precision + recall)
-        f_scores.append(f)
         included.append(f)
     if not included:
-        return MetricScore(100.0, tuple(f_scores))
+        return MetricScore(100.0)
     value = 100.0 * sum(included) / len(included)
-    return MetricScore(min(value, 100.0), tuple(f_scores))
+    return MetricScore(min(value, 100.0))
 
 
-def sentence_chrf(
-    hyp: str, ref: str, char_order: int = 6, beta: float = 2.0
-) -> MetricScore:
+def sentence_chrf(hyp: str, ref: str) -> MetricScore:
     """chrF of one hypothesis segment against one reference segment."""
-    return score_from_chrf_stats(char_ngram_stats(hyp, ref, char_order), beta)
+    return score_from_chrf_stats(char_ngram_stats(hyp, ref))
 
 
-def corpus_chrf(
-    hyps: Sequence[str], refs: Sequence[str], char_order: int = 6, beta: float = 2.0
-) -> MetricScore:
+def corpus_chrf(hyps: Sequence[str], refs: Sequence[str]) -> MetricScore:
     """Micro-averaged chrF: per-order counts summed over segments first."""
     if len(hyps) != len(refs):
         raise AlignmentError(
@@ -318,10 +281,7 @@ def corpus_chrf(
         )
     if not hyps:
         raise ValueError("corpus must contain at least one segment")
-    totals = [[0, 0, 0] for _ in range(char_order)]
-    for hyp, ref in zip(hyps, refs):
-        for i, (h, r, m) in enumerate(char_ngram_stats(hyp, ref, char_order)):
-            totals[i][0] += h
-            totals[i][1] += r
-            totals[i][2] += m
-    return score_from_chrf_stats([tuple(t) for t in totals], beta)
+    per_segment = [char_ngram_stats(hyp, ref) for hyp, ref in zip(hyps, refs)]
+    return score_from_chrf_stats(
+        [tuple(map(sum, zip(*order))) for order in zip(*per_segment)]
+    )

@@ -26,8 +26,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DataError
+from .textio import read_text
 
 SPEAKERS = ("customer", "agent")
+TURN_FIELDS = ("speaker", "src_lang", "tgt_lang", "source", "mt")  # required strings
 
 INSTRUCTION_TEMPLATE = (
     "Translate the following sentence into {tgt_lang} with a style bias towards Natural:"
@@ -263,32 +265,41 @@ def read_chat_documents(path: str | Path) -> list[ChatDocument]:
     turn_index within a document; documents keep first-appearance order.
     """
     grouped: dict[str, dict[int, ChatTurn]] = {}
-    raw = Path(path).read_text(encoding="utf-8")
+    raw = read_text(path)
     for lineno, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{where}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise DataError(f"{where}: expected a JSON object, got {type(record).__name__}")
         try:
             doc_id = str(record["doc_id"])
-            turn_index = int(record["turn_index"])
-            turn = ChatTurn(
-                speaker=record["speaker"],
-                src_lang=record["src_lang"],
-                tgt_lang=record["tgt_lang"],
-                source=record["source"],
-                mt=record["mt"],
-                reference=record.get("reference"),
-            )
+            turn_index = record["turn_index"]
+            fields = {name: record[name] for name in TURN_FIELDS}
         except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
+            raise DataError(f"{where}: missing field {exc}") from exc
+        if type(turn_index) is not int:
+            raise DataError(
+                f"{where}: turn_index must be an integer, got {type(turn_index).__name__}"
+            )
+        if record.get("reference") is not None:
+            fields["reference"] = record["reference"]
+        for name, value in fields.items():
+            if not isinstance(value, str):
+                raise DataError(
+                    f"{where}: field {name!r} must be a string, got {type(value).__name__}"
+                )
+        try:
+            turn = ChatTurn(**fields)
         except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
+            raise DataError(f"{where}: {exc}") from exc
         turns = grouped.setdefault(doc_id, {})
         if turn_index in turns:
-            raise DataError(f"{path}:{lineno}: duplicate turn {turn_index} in {doc_id!r}")
+            raise DataError(f"{where}: duplicate turn {turn_index} in {doc_id!r}")
         turns[turn_index] = turn
     documents = []
     for doc_id, turns in grouped.items():

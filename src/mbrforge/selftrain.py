@@ -176,8 +176,8 @@ def write_corpus(
     return written
 
 
-def read_corpus(prefix: str | Path, default_tag: str = "genuine") -> ParallelCorpus:
-    """Read a corpus written by write_corpus; missing .meta means default_tag."""
+def read_corpus(prefix: str | Path) -> ParallelCorpus:
+    """Read a corpus written by write_corpus; missing .meta means all "genuine"."""
     prefix = Path(prefix)
     sources = read_segments(prefix.with_name(prefix.name + ".src"))
     targets = read_segments(prefix.with_name(prefix.name + ".tgt"))
@@ -195,5 +195,5 @@ def read_corpus(prefix: str | Path, default_tag: str = "genuine") -> ParallelCor
                 f"{len(sources)} pairs)"
             )
     else:
-        provenance = [default_tag] * len(sources)
+        provenance = ["genuine"] * len(sources)
     return ParallelCorpus(tuple(zip(sources, targets)), tuple(provenance))

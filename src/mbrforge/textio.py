@@ -12,12 +12,20 @@ import os
 import tempfile
 from pathlib import Path
 
-from .errors import AlignmentError
+from .errors import AlignmentError, DataError
+
+
+def read_text(path: str | Path) -> str:
+    """Read a whole UTF-8 file; bytes that do not decode raise DataError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
 
 
 def read_segments(path: str | Path) -> list[str]:
     """Read one segment per line.  An empty file has zero segments."""
-    raw = Path(path).read_text(encoding="utf-8")
+    raw = read_text(path)
     if raw == "":
         return []
     if raw.endswith("\n"):

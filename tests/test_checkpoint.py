@@ -110,6 +110,8 @@ class TestTensorStore:
             (b"TSF1\nw\tf32\t2\n", "no blank line"),
             (b"TSF1\nw\tf64\t1\n\n\x00\x00\x80?", "malformed"),
             (b"TSF1\nw\tf32\tx\n\n", "bad shape"),
+            (b"TSF1\nw\tf32\t-2,-2\n\n" + bytes(16), "bad shape"),
+            (b"TSF1\nw\tf32\t0,-3\n\n", "bad shape"),
             (b"TSF1\nw\tf32\t2\n\n\x00\x00\x80?", "short"),
             (b"TSF1\nw\tf32\t1\n\n\x00\x00\x80?extra", "trailing bytes"),
         ],

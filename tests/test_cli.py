@@ -217,6 +217,15 @@ class TestEvalCommand:
         assert rc == 3
         assert "empty" in capsys.readouterr().err
 
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        hyp = tmp_path / "latin1.txt"
+        hyp.write_bytes(b"caf\xe9\n")
+        ref = write_lines(tmp_path / "ref.txt", ["cafe"])
+        rc = cli.main(["eval", "--hyp", str(hyp), "--ref", str(ref)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(hyp) in err and "UTF-8" in err
+
 
 class TestCorpusCommands:
     def test_build_st(self, tmp_path):

@@ -100,7 +100,7 @@ class TestBleuFrozen:
     def test_add_k_rescues_zero_orders(self):
         hyp = ["the", "the", "the", "the"]
         ref = ["the", "cat"]
-        score = sentence_bleu(hyp, [ref], smoothing="add-k", epsilon=0.1)
+        score = sentence_bleu(hyp, [ref], smoothing="add-k")
         # Hypothesis is longer than the reference, so no brevity penalty.
         expected = 100.0 * math.exp(
             (

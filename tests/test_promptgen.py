@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +31,15 @@ from fixtures import (
 field_st = st.text(alphabet="ab c,", min_size=1, max_size=12).filter(
     lambda s: s.strip() == s and s != ""
 )
+
+
+def record_line(**overrides) -> str:
+    """One JSONL chat record for turn 0, with fields replaced by ``overrides``."""
+    record = {
+        "doc_id": "d", "turn_index": 0, "speaker": "customer",
+        "src_lang": "English", "tgt_lang": "German", "source": "s", "mt": "m",
+    }
+    return json.dumps({**record, **overrides})
 
 
 def make_turn(**overrides) -> ChatTurn:
@@ -303,6 +314,34 @@ class TestJsonlReader:
         path = tmp_path / "chat.jsonl"
         path.write_text('{"doc_id": "d", "turn_index": 0}\n')
         with pytest.raises(DataError, match="missing field"):
+            read_chat_documents(path)
+
+    @pytest.mark.parametrize(
+        "line,match",
+        [
+            ("[1, 2]", "expected a JSON object"),
+            ("[" * 100_000, "invalid JSON"),
+            ("1" * 5_000, "invalid JSON"),
+            (record_line(turn_index="x"), "turn_index must be an integer"),
+            (record_line(turn_index=None), "turn_index must be an integer"),
+            (record_line(turn_index=1.0), "turn_index must be an integer"),
+            (record_line(source=["s"]), "'source' must be a string"),
+            (record_line(speaker=0), "'speaker' must be a string"),
+            (record_line(reference=5), "'reference' must be a string"),
+        ],
+        ids=["array", "deep-nesting", "long-integer", "index-str", "index-null",
+             "index-float", "source-list", "speaker-int", "reference-int"],
+    )
+    def test_bad_record(self, tmp_path, line, match):
+        path = tmp_path / "chat.jsonl"
+        path.write_text(record_line() + "\n" + line + "\n")
+        with pytest.raises(DataError, match=f":2: .*{match}"):
+            read_chat_documents(path)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "chat.jsonl"
+        path.write_bytes(b'{"source": "caf\xe9"}\n')
+        with pytest.raises(DataError, match="chat.jsonl: not valid UTF-8"):
             read_chat_documents(path)
 
     def test_blank_lines_skipped(self, tmp_path):
