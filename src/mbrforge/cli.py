@@ -18,7 +18,7 @@ import os
 import shlex
 import sys
 
-from . import checkpoint, mbr, metrics, promptgen, selftrain
+from . import mbr, metrics, promptgen, selftrain
 from .bridge import BridgeConfig
 from .errors import (
     EXIT_BRIDGE,
@@ -361,12 +361,16 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 
 def cmd_avg(args: argparse.Namespace) -> int:
+    from . import checkpoint  # numpy loads only for the commands that need it
+
     stores = [checkpoint.TensorStore.load(path) for path in args.inputs]
     checkpoint.average_checkpoints(stores).save(args.out)
     return EXIT_OK
 
 
 def cmd_lora_merge(args: argparse.Namespace) -> int:
+    from . import checkpoint
+
     base = checkpoint.TensorStore.load(args.base)
     adapter = checkpoint.adapter_from_store(
         checkpoint.TensorStore.load(args.adapter), alpha=args.alpha

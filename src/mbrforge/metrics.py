@@ -109,6 +109,23 @@ class BleuStats:
         )
 
 
+def _clipped_matches(a: Counter, b: Counter) -> int:
+    """Size of the multiset intersection, ``sum((a & b).values())``.
+
+    Walks the smaller Counter and looks each gram up in the other, so no
+    intersection Counter is built.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    get = b.get
+    matched = 0
+    for gram, count in a.items():
+        other = get(gram)
+        if other:
+            matched += count if count < other else other
+    return matched
+
+
 def word_ngram_counts(tokens: Sequence[str]) -> NgramCounts:
     """Word n-gram counts of one segment for orders 1..BLEU_ORDER.
 
@@ -128,18 +145,17 @@ def bleu_stats_from_counts(hyp: NgramCounts, refs: Sequence[NgramCounts]) -> Ble
     """
     if not refs:
         raise ValueError("at least one reference is required")
-    matches = []
-    totals = []
-    for order, hyp_counts in enumerate(hyp):
-        ref_max = reduce(operator.or_, (ref[order] for ref in refs))
-        matches.append(sum((hyp_counts & ref_max).values()))
-        totals.append(sum(hyp_counts.values()))
+    matches = tuple(
+        _clipped_matches(hyp_counts, reduce(operator.or_, (ref[order] for ref in refs)))
+        for order, hyp_counts in enumerate(hyp)
+    )
+    totals = tuple(hyp_counts.total() for hyp_counts in hyp)
     hyp_len = totals[0]
     ref_len = min(
-        (sum(ref[0].values()) for ref in refs),
+        (ref[0].total() for ref in refs),
         key=lambda rl: (abs(rl - hyp_len), rl),
     )
-    return BleuStats(tuple(matches), tuple(totals), hyp_len, ref_len)
+    return BleuStats(matches, totals, hyp_len, ref_len)
 
 
 def bleu_stats(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> BleuStats:
@@ -230,10 +246,7 @@ def chrf_stats_from_counts(
     hyp: NgramCounts, ref: NgramCounts
 ) -> list[tuple[int, int, int]]:
     """(hyp_total, ref_total, matched) per order from prebuilt char n-gram counts."""
-    return [
-        (sum(h.values()), sum(r.values()), sum((h & r).values()))
-        for h, r in zip(hyp, ref)
-    ]
+    return [(h.total(), r.total(), _clipped_matches(h, r)) for h, r in zip(hyp, ref)]
 
 
 def char_ngram_stats(hyp: str, ref: str) -> list[tuple[int, int, int]]:

@@ -261,7 +261,8 @@ def read_chat_documents(path: str | Path) -> list[ChatDocument]:
     """Read JSONL turn records grouped into documents.
 
     One turn per line with fields doc_id, turn_index, speaker, src_lang,
-    tgt_lang, source, mt and optional reference.  Turns are ordered by
+    tgt_lang, source, mt and optional reference.  ``doc_id`` is a string,
+    or an integer read as its decimal string.  Turns are ordered by
     turn_index within a document; documents keep first-appearance order.
     """
     grouped: dict[str, dict[int, ChatTurn]] = {}
@@ -277,11 +278,18 @@ def read_chat_documents(path: str | Path) -> list[ChatDocument]:
         if not isinstance(record, dict):
             raise DataError(f"{where}: expected a JSON object, got {type(record).__name__}")
         try:
-            doc_id = str(record["doc_id"])
+            doc_id = record["doc_id"]
             turn_index = record["turn_index"]
             fields = {name: record[name] for name in TURN_FIELDS}
         except KeyError as exc:
             raise DataError(f"{where}: missing field {exc}") from exc
+        if type(doc_id) is int:
+            doc_id = str(doc_id)
+        elif not isinstance(doc_id, str):
+            raise DataError(
+                f"{where}: field 'doc_id' must be a string or an integer, "
+                f"got {type(doc_id).__name__}"
+            )
         if type(turn_index) is not int:
             raise DataError(
                 f"{where}: turn_index must be an integer, got {type(turn_index).__name__}"

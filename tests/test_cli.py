@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from fixtures import TOY_DEMOS, read_golden, toy_chat_doc, write_doc_jsonl
 
 DOUBLES = str(Path(__file__).parent / "doubles.py")
 SCRIPTS = Path(__file__).parent.parent / "scripts"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def write_lines(path: Path, lines: list[str]) -> Path:
@@ -564,6 +566,23 @@ class TestEntryPoints:
         )
         assert result.returncode == 0, result.stderr
         assert "byte for byte" in result.stdout
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # Only avg and lora-merge need checkpoint (and numpy); every other
+        # command must not pay for importing them.
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import mbrforge.cli, sys; "
+                "print(sorted({'numpy', 'mbrforge.checkpoint'} & sys.modules.keys()))",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc_info:

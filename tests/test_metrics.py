@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbrforge.errors import AlignmentError
+from mbrforge.mbr import UtilitySpec, make_scorer
 from mbrforge.metrics import (
     BleuStats,
     MetricScore,
@@ -23,7 +24,14 @@ from mbrforge.metrics import (
     sentence_chrf,
     tokenize,
 )
-from oracles import oracle_bleu, oracle_chrf, oracle_corpus_bleu, oracle_corpus_chrf
+from oracles import (
+    list_ngrams,
+    oracle_bleu,
+    oracle_chrf,
+    oracle_chrf_counts,
+    oracle_corpus_bleu,
+    oracle_corpus_chrf,
+)
 
 tokens_st = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=8)
 nonempty_tokens_st = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=8)
@@ -255,6 +263,42 @@ class TestProperties:
     def test_chrf_ignores_spacing(self, hyp, ref):
         spaced = " ".join(hyp)
         assert sentence_chrf(spaced, ref).value == sentence_chrf(hyp, ref).value
+
+
+class TestExactStatistics:
+    """The n-gram statistics are integers, so they must match exactly."""
+
+    @settings(max_examples=200)
+    @given(segment_st, segment_st)
+    def test_chrf_stats_equal_oracle_counts(self, hyp, ref):
+        assert char_ngram_stats(hyp, ref) == oracle_chrf_counts(hyp, ref)
+
+    @settings(max_examples=200)
+    @given(tokens_st, st.lists(tokens_st, min_size=1, max_size=3))
+    def test_bleu_counts_equal_brute_force(self, hyp, refs):
+        matches, totals = [], []
+        for n in range(1, 5):
+            hyp_grams = list_ngrams(hyp, n)
+            totals.append(len(hyp_grams))
+            matches.append(sum(
+                min(hyp_grams.count(gram), max(list_ngrams(ref, n).count(gram) for ref in refs))
+                for gram in set(hyp_grams)
+            ))
+        stats = bleu_stats(hyp, refs)
+        assert (stats.matches, stats.totals, stats.hyp_len) == (
+            tuple(matches), tuple(totals), len(hyp)
+        )
+
+    @given(st.lists(st.text(alphabet="ab c,.", max_size=16), min_size=1, max_size=5))
+    def test_native_scorers_equal_sentence_metrics(self, segments):
+        triples = [("", hyp, ref) for hyp in segments for ref in segments]
+        chrf = make_scorer(UtilitySpec(kind="native-chrf"))(triples)
+        bleu = make_scorer(UtilitySpec(kind="native-bleu"))(triples)
+        assert chrf == [sentence_chrf(hyp, ref).value for _, hyp, ref in triples]
+        assert bleu == [
+            sentence_bleu(tokenize(hyp), [tokenize(ref)], smoothing="add-k").value
+            for _, hyp, ref in triples
+        ]
 
 
 class TestValidation:

@@ -328,15 +328,42 @@ class TestJsonlReader:
             (record_line(source=["s"]), "'source' must be a string"),
             (record_line(speaker=0), "'speaker' must be a string"),
             (record_line(reference=5), "'reference' must be a string"),
+            (record_line(doc_id=1.0), "'doc_id' must be a string or an integer, got float"),
+            (record_line(doc_id=True), "'doc_id' must be a string or an integer, got bool"),
+            (record_line(doc_id={}), "'doc_id' must be a string or an integer, got dict"),
         ],
         ids=["array", "deep-nesting", "long-integer", "index-str", "index-null",
-             "index-float", "source-list", "speaker-int", "reference-int"],
+             "index-float", "source-list", "speaker-int", "reference-int",
+             "doc-float", "doc-bool", "doc-object"],
     )
     def test_bad_record(self, tmp_path, line, match):
         path = tmp_path / "chat.jsonl"
         path.write_text(record_line() + "\n" + line + "\n")
         with pytest.raises(DataError, match=f":2: .*{match}"):
             read_chat_documents(path)
+
+    @pytest.mark.parametrize(
+        "doc_id,lookalike,type_name",
+        [(None, "None", "NoneType"), ([1], "[1]", "list")],
+        ids=["null", "list"],
+    )
+    def test_doc_id_never_merges_with_its_string_form(
+        self, tmp_path, doc_id, lookalike, type_name
+    ):
+        path = tmp_path / "chat.jsonl"
+        path.write_text(
+            record_line(doc_id=lookalike) + "\n" + record_line(doc_id=doc_id, turn_index=1) + "\n"
+        )
+        with pytest.raises(
+            DataError, match=f":2: field 'doc_id' must be a string or an integer, got {type_name}"
+        ):
+            read_chat_documents(path)
+
+    def test_integer_doc_id_reads_as_string(self, tmp_path):
+        path = tmp_path / "chat.jsonl"
+        path.write_text(record_line(doc_id=7) + "\n")
+        [doc] = read_chat_documents(path)
+        assert doc.doc_id == "7"
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "chat.jsonl"
