@@ -17,9 +17,9 @@ import logging
 import os
 import shlex
 import sys
+from typing import TYPE_CHECKING
 
-from . import mbr, metrics, promptgen, selftrain
-from .bridge import BridgeConfig
+from . import metrics
 from .errors import (
     EXIT_BRIDGE,
     EXIT_IO,
@@ -30,6 +30,9 @@ from .errors import (
     UsageError,
 )
 from .textio import atomic_write_text, read_segments, require_aligned, write_segments
+
+if TYPE_CHECKING:
+    from . import promptgen, selftrain
 
 log = logging.getLogger("mbrforge")
 
@@ -44,10 +47,20 @@ def _default_workers() -> int:
         return 1
 
 
+def _workers_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_workers_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_workers_count,
         default=_default_workers(),
         help=help_text,
     )
@@ -271,6 +284,8 @@ def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _filter_config(args: argparse.Namespace) -> selftrain.FilterConfig:
+    from . import selftrain
+
     return selftrain.FilterConfig(
         max_length_ratio=args.max_ratio,
         min_tokens=args.min_tokens,
@@ -280,9 +295,13 @@ def _filter_config(args: argparse.Namespace) -> selftrain.FilterConfig:
 
 
 def cmd_mbr(args: argparse.Namespace) -> int:
+    from . import mbr  # each command imports the layers it runs, so start-up is cheap
+
     if args.utility == "external":
         if not args.external_cmd:
             raise UsageError("--utility external requires --external-cmd")
+        from .bridge import BridgeConfig
+
         spec = mbr.UtilitySpec(
             kind="external",
             include_self=args.include_self,
@@ -336,6 +355,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_build_st(args: argparse.Namespace) -> int:
+    from . import selftrain
+
     sources = read_segments(args.src)
     translations = read_segments(args.mt)
     corpus = selftrain.build_st_corpus(sources, translations, _filter_config(args))
@@ -345,6 +366,8 @@ def cmd_build_st(args: argparse.Namespace) -> int:
 
 
 def cmd_build_bt(args: argparse.Namespace) -> int:
+    from . import selftrain
+
     targets = read_segments(args.tgt)
     back = read_segments(args.bt)
     corpus = selftrain.build_bt_corpus(targets, back, tag=args.tag, config=_filter_config(args))
@@ -354,6 +377,8 @@ def cmd_build_bt(args: argparse.Namespace) -> int:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
+    from . import selftrain
+
     corpora = [selftrain.read_corpus(prefix) for prefix in args.inputs]
     merged = selftrain.merge_corpora(corpora, shuffle_seed=args.seed)
     selftrain.write_corpus(merged, args.out_prefix, write_meta=True)
@@ -380,6 +405,8 @@ def cmd_lora_merge(args: argparse.Namespace) -> int:
 
 
 def _fewshot_records(doc: promptgen.ChatDocument, k: int):
+    from . import promptgen
+
     for index, turn in enumerate(doc.turns):
         pool = [
             (other.source, other.reference)
@@ -397,6 +424,8 @@ def _fewshot_records(doc: promptgen.ChatDocument, k: int):
 
 
 def cmd_prompts(args: argparse.Namespace) -> int:
+    from . import promptgen
+
     documents = promptgen.read_chat_documents(args.doc)
     if not documents:
         raise DataError(f"no chat turns found in {args.doc}")

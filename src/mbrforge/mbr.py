@@ -9,19 +9,20 @@ BLEU/chrF metrics or an external scorer reached through the bridge.
 
 from __future__ import annotations
 
-import queue
-from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import metrics
-from .bridge import BridgeClient, BridgeConfig, ScoreRequest
 from .errors import DataError, MbrforgeError
 from .textio import read_segments, require_aligned
 
+if TYPE_CHECKING:
+    from .bridge import BridgeConfig
+
 # A batch scorer maps (src, mt, ref) triples to one float per triple.
 BatchScorer = Callable[[Sequence[tuple[str, str, str]]], list[float]]
+Totals = tuple[int, ...]  # one integer per n-gram order
 
 UTILITY_KINDS = ("native-bleu", "native-chrf", "external")
 
@@ -143,21 +144,24 @@ def make_scorer(spec: UtilitySpec) -> BatchScorer:
         def bleu_features(text: str) -> metrics.NgramCounts:
             return metrics.word_ngram_counts(metrics.tokenize(text))
 
-        def bleu_pair(hyp: metrics.NgramCounts, ref: metrics.NgramCounts) -> float:
+        def bleu_pair(hyp_totals: Totals, ref_totals: Totals, matches: Totals) -> float:
             return metrics.score_from_bleu_stats(
-                metrics.bleu_stats_from_counts(hyp, [ref]), smoothing="add-k"
+                metrics.bleu_stats_from_totals(hyp_totals, ref_totals, matches),
+                smoothing="add-k",
             ).value
 
         return _native_scorer(bleu_features, bleu_pair)
 
     if spec.kind == "native-chrf":
 
-        def chrf_pair(hyp: metrics.NgramCounts, ref: metrics.NgramCounts) -> float:
+        def chrf_pair(hyp_totals: Totals, ref_totals: Totals, matches: Totals) -> float:
             return metrics.score_from_chrf_stats(
-                metrics.chrf_stats_from_counts(hyp, ref)
+                metrics.chrf_stats_from_totals(hyp_totals, ref_totals, matches)
             ).value
 
         return _native_scorer(metrics.char_ngram_counts, chrf_pair)
+
+    from .bridge import BridgeClient, ScoreRequest  # only external utilities need it
 
     client = BridgeClient(spec.bridge)
 
@@ -171,22 +175,38 @@ def make_scorer(spec: UtilitySpec) -> BatchScorer:
 
 def _native_scorer(
     features: Callable[[str], metrics.NgramCounts],
-    pair_score: Callable[[metrics.NgramCounts, metrics.NgramCounts], float],
+    pair_score: Callable[[Totals, Totals, Totals], float],
 ) -> BatchScorer:
-    """Batch scorer that builds each distinct string's features once per call.
+    """Batch scorer that counts each string and each unordered pair once per call.
 
-    The memo lives for one call only, so memory stays bounded by a batch.
+    Each distinct string's n-gram counts and per-order totals are built
+    once.  Clipped matches are symmetric, so each unordered pair's matches
+    are counted once and serve both (a, b) and (b, a); only the totals swap
+    sides.  The memos live for one call only, so memory stays bounded by a
+    batch.
     """
 
     def score(triples: Sequence[tuple[str, str, str]]) -> list[float]:
-        memo: dict[str, metrics.NgramCounts] = {}
+        memo: dict[str, tuple[metrics.NgramCounts, Totals]] = {}
+        matched: dict[tuple[str, str], Totals] = {}
 
-        def feats(text: str) -> metrics.NgramCounts:
-            if text not in memo:
-                memo[text] = features(text)
-            return memo[text]
+        def feats(text: str) -> tuple[metrics.NgramCounts, Totals]:
+            entry = memo.get(text)
+            if entry is None:
+                counts = features(text)
+                entry = memo[text] = (counts, metrics.ngram_totals(counts))
+            return entry
 
-        return [pair_score(feats(mt), feats(ref)) for _src, mt, ref in triples]
+        scores = []
+        for _src, mt, ref in triples:
+            hyp_counts, hyp_totals = feats(mt)
+            ref_counts, ref_totals = feats(ref)
+            matches = matched.get((mt, ref))
+            if matches is None:
+                matches = metrics.ngram_matches(hyp_counts, ref_counts)
+                matched[mt, ref] = matched[ref, mt] = matches
+            scores.append(pair_score(hyp_totals, ref_totals, matches))
+        return scores
 
     return score
 
@@ -283,6 +303,9 @@ def segment_matrices(
             return [compute(i, scorer) for i in range(cset.num_segments)]
         finally:
             close_scorer(scorer)
+
+    import queue
+    from concurrent import futures
 
     scorers: list[BatchScorer] = []
     idle: queue.SimpleQueue[BatchScorer] = queue.SimpleQueue()

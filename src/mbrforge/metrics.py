@@ -135,6 +135,31 @@ def word_ngram_counts(tokens: Sequence[str]) -> NgramCounts:
     return tuple(ngram_counts(tokens, order) for order in range(1, BLEU_ORDER + 1))
 
 
+def ngram_totals(counts: NgramCounts) -> tuple[int, ...]:
+    """Number of n-grams of each order in one segment's counts."""
+    return tuple(grams.total() for grams in counts)
+
+
+def ngram_matches(a: NgramCounts, b: NgramCounts) -> tuple[int, ...]:
+    """Clipped n-gram matches of each order between two segments' counts.
+
+    Symmetric: ``ngram_matches(a, b) == ngram_matches(b, a)``.  Scoring
+    (b, a) after (a, b) swaps only the totals, so the matches of a pair
+    can serve both orientations.
+    """
+    return tuple(map(_clipped_matches, a, b))
+
+
+def bleu_stats_from_totals(
+    hyp_totals: Sequence[int], ref_totals: Sequence[int], matches: Sequence[int]
+) -> BleuStats:
+    """BLEU statistics against one reference from per-order totals and matches.
+
+    The lengths are the unigram totals of each side.
+    """
+    return BleuStats(tuple(matches), tuple(hyp_totals), hyp_totals[0], ref_totals[0])
+
+
 def bleu_stats_from_counts(hyp: NgramCounts, refs: Sequence[NgramCounts]) -> BleuStats:
     """Clipped match/total counts and lengths from prebuilt n-gram counts.
 
@@ -145,17 +170,13 @@ def bleu_stats_from_counts(hyp: NgramCounts, refs: Sequence[NgramCounts]) -> Ble
     """
     if not refs:
         raise ValueError("at least one reference is required")
-    matches = tuple(
-        _clipped_matches(hyp_counts, reduce(operator.or_, (ref[order] for ref in refs)))
-        for order, hyp_counts in enumerate(hyp)
+    hyp_totals = ngram_totals(hyp)
+    ref_totals = min(
+        (ngram_totals(ref) for ref in refs),
+        key=lambda totals: (abs(totals[0] - hyp_totals[0]), totals[0]),
     )
-    totals = tuple(hyp_counts.total() for hyp_counts in hyp)
-    hyp_len = totals[0]
-    ref_len = min(
-        (ref[0].total() for ref in refs),
-        key=lambda rl: (abs(rl - hyp_len), rl),
-    )
-    return BleuStats(matches, totals, hyp_len, ref_len)
+    merged = tuple(reduce(operator.or_, grams) for grams in zip(*refs))
+    return bleu_stats_from_totals(hyp_totals, ref_totals, ngram_matches(hyp, merged))
 
 
 def bleu_stats(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> BleuStats:
@@ -242,11 +263,20 @@ def char_ngram_counts(segment: str) -> NgramCounts:
     )
 
 
+def chrf_stats_from_totals(
+    hyp_totals: Sequence[int], ref_totals: Sequence[int], matches: Sequence[int]
+) -> list[tuple[int, int, int]]:
+    """(hyp_total, ref_total, matched) per order from per-order totals and matches."""
+    return list(zip(hyp_totals, ref_totals, matches))
+
+
 def chrf_stats_from_counts(
     hyp: NgramCounts, ref: NgramCounts
 ) -> list[tuple[int, int, int]]:
     """(hyp_total, ref_total, matched) per order from prebuilt char n-gram counts."""
-    return [(h.total(), r.total(), _clipped_matches(h, r)) for h, r in zip(hyp, ref)]
+    return chrf_stats_from_totals(
+        ngram_totals(hyp), ngram_totals(ref), ngram_matches(hyp, ref)
+    )
 
 
 def char_ngram_stats(hyp: str, ref: str) -> list[tuple[int, int, int]]:

@@ -9,7 +9,7 @@ output behind.
 from __future__ import annotations
 
 import os
-import tempfile
+import stat
 from pathlib import Path
 
 from .errors import AlignmentError, DataError
@@ -34,10 +34,23 @@ def read_segments(path: str | Path) -> list[str]:
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write through a temp file in the same directory, then rename over ``path``.
+
+    A new file gets the mode a plain ``open`` would give it, 0o666 less the
+    umask; a replaced file keeps its mode.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    # The kernel applies the umask to 0o666; O_EXCL never reuses a file.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -1,11 +1,18 @@
-"""Pytest wiring: one PASS/FAIL summary line per acceptance check."""
+"""Pytest wiring: import paths, and one PASS/FAIL summary line per acceptance check."""
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+# Scorer doubles, scripts and `python -m mbrforge.cli` run as child processes;
+# they import the same uninstalled source tree as the tests.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
+)
 
 _ACCEPTANCE_FILE = "test_acceptance.py"
 _results: dict[str, str] = {}

@@ -538,6 +538,20 @@ class TestWorkersDefault:
         )
         assert args.workers == 6
 
+    @pytest.mark.parametrize("value", ["0", "-5", "two"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mbr", "--src", "s", "--cand", "a", "--cand", "b", "--out", "o"],
+            ["eval", "--hyp", "h", "--ref", "r"],
+        ],
+    )
+    def test_workers_below_one_is_usage_error(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main([*argv, "--workers", value])
+        assert exc_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestEntryPoints:
     def test_console_script_exists(self):
@@ -568,14 +582,18 @@ class TestEntryPoints:
         assert "byte for byte" in result.stdout
 
     def test_cli_import_leaves_numpy_unloaded(self):
-        # Only avg and lora-merge need checkpoint (and numpy); every other
-        # command must not pay for importing them.
+        # Each command imports the layers it runs (only avg and lora-merge
+        # need checkpoint and numpy), so start-up pays for none of them.
+        unloaded = {
+            "numpy", "mbrforge.checkpoint", "mbrforge.mbr", "mbrforge.bridge",
+            "mbrforge.promptgen", "mbrforge.selftrain", "subprocess",
+            "concurrent.futures",
+        }
         result = subprocess.run(
             [
                 sys.executable,
                 "-c",
-                "import mbrforge.cli, sys; "
-                "print(sorted({'numpy', 'mbrforge.checkpoint'} & sys.modules.keys()))",
+                f"import mbrforge.cli, sys; print(sorted({unloaded!r} & sys.modules.keys()))",
             ],
             capture_output=True,
             text=True,
@@ -583,6 +601,24 @@ class TestEntryPoints:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_native_mbr_leaves_bridge_unloaded(self, tmp_path, cand_files):
+        src, a, b, c = cand_files
+        code = (
+            "import sys; from mbrforge import cli; rc = cli.main(sys.argv[1:]); "
+            "print(rc, sorted({'mbrforge.bridge', 'subprocess', 'concurrent.futures'}"
+            " & sys.modules.keys()))"
+        )
+        argv = ["mbr", "--src", str(src), "--cand", str(a), "--cand", str(b),
+                "--cand", str(c), "--out", str(tmp_path / "out.txt")]
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0 []"
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc_info:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbrforge.bridge import BridgeConfig
+from mbrforge import metrics
 from mbrforge.errors import AlignmentError, DataError
 from mbrforge.mbr import (
     CandidateSet,
@@ -245,6 +246,27 @@ class TestDistinctScoring:
         assert matrix.values == tuple(
             tuple(every_pair[c * n : (c + 1) * n]) for c in range(n)
         )
+
+
+    @pytest.mark.parametrize(
+        "kind,order", [("native-chrf", metrics.CHRF_ORDER), ("native-bleu", metrics.BLEU_ORDER)]
+    )
+    def test_each_unordered_pair_matched_once(self, monkeypatch, kind, order):
+        row = ("a b c", "b c d", "a b c", "c d e , f", "b c d", "x y")
+        d = len(set(row))
+        spec = UtilitySpec(kind=kind)
+        every_pair = make_scorer(spec)([("", mt, ref) for mt in row for ref in row])
+        kernel = metrics._clipped_matches
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return kernel(a, b)
+
+        monkeypatch.setattr(metrics, "_clipped_matches", counting)
+        matrix = utility_matrix(single_segment(*row), 0, spec)
+        assert len(calls) <= order * d * (d + 1) // 2
+        assert [v for r in matrix.values for v in r] == every_pair
 
 
 class TestLoadCandidates:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import stat
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -71,6 +74,22 @@ class TestAtomicWrite:
         path = tmp_path / "out.bin"
         atomic_write_bytes(path, b"data")
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            atomic_write_bytes(tmp_path / "out.bin", b"data")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "out.bin").stat().st_mode) == 0o640
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        path.chmod(0o604)
+        atomic_write_bytes(path, b"new")
+        assert path.read_bytes() == b"new"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o604
 
 
 class TestRequireAligned:
