@@ -145,7 +145,11 @@ class TensorStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "TensorStore":
-        return cls.parse(Path(path).read_bytes())
+        data = Path(path).read_bytes()
+        try:
+            return cls.parse(data)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def average_checkpoints(stores: Sequence[TensorStore]) -> TensorStore:
@@ -188,8 +192,8 @@ class LoraAdapter:
     def __post_init__(self) -> None:
         if self.rank <= 0:
             raise DataError(f"rank must be positive, got {self.rank}")
-        if self.alpha <= 0:
-            raise DataError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise DataError(f"alpha must be finite and positive, got {self.alpha}")
         for name, a, b in self.targets:
             if a.ndim != 2 or a.shape[0] != self.rank:
                 raise DataError(

@@ -10,6 +10,7 @@ BLEU/chrF metrics or an external scorer reached through the bridge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -140,26 +141,12 @@ def make_scorer(spec: UtilitySpec) -> BatchScorer:
     ``close_scorer`` when done.
     """
     if spec.kind == "native-bleu":
-
-        def bleu_features(text: str) -> metrics.NgramCounts:
-            return metrics.word_ngram_counts(metrics.tokenize(text))
-
-        def bleu_pair(hyp_totals: Totals, ref_totals: Totals, matches: Totals) -> float:
-            return metrics.score_from_bleu_stats(
-                metrics.bleu_stats_from_totals(hyp_totals, ref_totals, matches),
-                smoothing="add-k",
-            ).value
-
-        return _native_scorer(bleu_features, bleu_pair)
-
+        return _native_scorer(
+            lambda text: metrics.word_ngram_counts(metrics.tokenize(text)),
+            partial(metrics.score_from_bleu_stats, smoothing="add-k"),
+        )
     if spec.kind == "native-chrf":
-
-        def chrf_pair(hyp_totals: Totals, ref_totals: Totals, matches: Totals) -> float:
-            return metrics.score_from_chrf_stats(
-                metrics.chrf_stats_from_totals(hyp_totals, ref_totals, matches)
-            ).value
-
-        return _native_scorer(metrics.char_ngram_counts, chrf_pair)
+        return _native_scorer(metrics.char_ngram_counts, metrics.score_from_chrf_stats)
 
     from .bridge import BridgeClient, ScoreRequest  # only external utilities need it
 
@@ -175,10 +162,11 @@ def make_scorer(spec: UtilitySpec) -> BatchScorer:
 
 def _native_scorer(
     features: Callable[[str], metrics.NgramCounts],
-    pair_score: Callable[[Totals, Totals, Totals], float],
+    score_stats: Callable[[metrics.NgramStats], metrics.MetricScore],
 ) -> BatchScorer:
     """Batch scorer that counts each string and each unordered pair once per call.
 
+    Each pair is scored by ``score_stats`` on its ``metrics.ngram_stats``.
     Each distinct string's n-gram counts and per-order totals are built
     once.  Clipped matches are symmetric, so each unordered pair's matches
     are counted once and serve both (a, b) and (b, a); only the totals swap
@@ -205,7 +193,8 @@ def _native_scorer(
             if matches is None:
                 matches = metrics.ngram_matches(hyp_counts, ref_counts)
                 matched[mt, ref] = matched[ref, mt] = matches
-            scores.append(pair_score(hyp_totals, ref_totals, matches))
+            stats = metrics.ngram_stats(hyp_totals, ref_totals, matches)
+            scores.append(score_stats(stats).value)
         return scores
 
     return score

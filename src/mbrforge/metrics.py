@@ -17,6 +17,12 @@ chrF is the character n-gram F-beta score (beta = CHRF_BETA) averaged
 over orders 1..CHRF_ORDER, with whitespace removed before n-gram
 extraction.  Orders where neither side has any n-grams are excluded from
 the average; two empty segments therefore score a vacuous 100.
+
+Both metrics share one statistics format, ``NgramStats``: per n-gram
+order, the tuple ``(hyp_total, ref_total, matched)``.  ``ngram_stats``
+builds it from per-order totals and clipped matches, corpus scores sum it
+per order, and native MBR builds it from memoised totals and matches.
+BLEU's hypothesis and reference lengths are the unigram totals.
 """
 
 from __future__ import annotations
@@ -27,12 +33,13 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import AlignmentError
 
 TokenSequence = list[str]
 NgramCounts = tuple[Counter, ...]  # index k holds the (k+1)-gram counts
+NgramStats = list[tuple[int, int, int]]  # (hyp_total, ref_total, matched) per order
 
 TOKENIZE_SCHEMES = ("whitespace", "punctuation-split")
 
@@ -91,24 +98,6 @@ class MetricScore:
             raise ValueError(f"metric value out of range: {self.value}")
 
 
-@dataclass(frozen=True)
-class BleuStats:
-    """Sufficient statistics for BLEU, summable across segments."""
-
-    matches: tuple[int, ...]  # clipped n-gram matches per order 1..BLEU_ORDER
-    totals: tuple[int, ...]  # hypothesis n-gram totals per order
-    hyp_len: int
-    ref_len: int  # reference length closest to the hypothesis length
-
-    def __add__(self, other: "BleuStats") -> "BleuStats":
-        return BleuStats(
-            tuple(a + b for a, b in zip(self.matches, other.matches)),
-            tuple(a + b for a, b in zip(self.totals, other.totals)),
-            self.hyp_len + other.hyp_len,
-            self.ref_len + other.ref_len,
-        )
-
-
 def _clipped_matches(a: Counter, b: Counter) -> int:
     """Size of the multiset intersection, ``sum((a & b).values())``.
 
@@ -150,59 +139,67 @@ def ngram_matches(a: NgramCounts, b: NgramCounts) -> tuple[int, ...]:
     return tuple(map(_clipped_matches, a, b))
 
 
-def bleu_stats_from_totals(
+def ngram_stats(
     hyp_totals: Sequence[int], ref_totals: Sequence[int], matches: Sequence[int]
-) -> BleuStats:
-    """BLEU statistics against one reference from per-order totals and matches.
-
-    The lengths are the unigram totals of each side.
-    """
-    return BleuStats(tuple(matches), tuple(hyp_totals), hyp_totals[0], ref_totals[0])
+) -> NgramStats:
+    """Per-order ``(hyp_total, ref_total, matched)`` statistics of one pairing."""
+    return list(zip(hyp_totals, ref_totals, matches))
 
 
-def bleu_stats_from_counts(hyp: NgramCounts, refs: Sequence[NgramCounts]) -> BleuStats:
-    """Clipped match/total counts and lengths from prebuilt n-gram counts.
+def corpus_stats(
+    hyps: Sequence, refs: Sequence, pair_stats: Callable[[Any, Any], NgramStats]
+) -> NgramStats:
+    """Statistics of aligned segment pairs, summed per order (micro-averaging)."""
+    if len(hyps) != len(refs):
+        raise AlignmentError(
+            f"inputs are not aligned ({len(hyps)} hypotheses, {len(refs)} references)"
+        )
+    if not hyps:
+        raise ValueError("corpus must contain at least one segment")
+    per_segment = [pair_stats(hyp, ref) for hyp, ref in zip(hyps, refs)]
+    return [tuple(map(sum, zip(*order))) for order in zip(*per_segment)]
+
+
+def bleu_stats(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> NgramStats:
+    """Word n-gram statistics of one tokenized hypothesis against its references.
 
     Clipping caps each hypothesis n-gram count at the maximum count seen in
-    any single reference, i.e. ``hyp & (ref1 | ref2 | ...)``.  The reference
-    length used for the brevity penalty is the one closest to the
-    hypothesis length (shorter wins ties).
+    any single reference, i.e. ``hyp & (ref1 | ref2 | ...)``.  The
+    ``ref_total``s are those of the reference whose length is closest to
+    the hypothesis length (shorter wins ties).
     """
     if not refs:
         raise ValueError("at least one reference is required")
-    hyp_totals = ngram_totals(hyp)
+    hyp_counts = word_ngram_counts(hyp)
+    ref_counts = [word_ngram_counts(ref) for ref in refs]
+    hyp_totals = ngram_totals(hyp_counts)
     ref_totals = min(
-        (ngram_totals(ref) for ref in refs),
+        map(ngram_totals, ref_counts),
         key=lambda totals: (abs(totals[0] - hyp_totals[0]), totals[0]),
     )
-    merged = tuple(reduce(operator.or_, grams) for grams in zip(*refs))
-    return bleu_stats_from_totals(hyp_totals, ref_totals, ngram_matches(hyp, merged))
+    merged = tuple(reduce(operator.or_, grams) for grams in zip(*ref_counts))
+    return ngram_stats(hyp_totals, ref_totals, ngram_matches(hyp_counts, merged))
 
 
-def bleu_stats(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> BleuStats:
-    """Clipped match/total counts and lengths for one tokenized segment."""
-    return bleu_stats_from_counts(
-        word_ngram_counts(hyp), [word_ngram_counts(ref) for ref in refs]
-    )
+def score_from_bleu_stats(stats: NgramStats, smoothing: str = "none") -> MetricScore:
+    """Turn (summed) BLEU statistics into a score.
 
-
-def score_from_bleu_stats(stats: BleuStats, smoothing: str = "none") -> MetricScore:
-    """Turn summed BLEU statistics into a score.
-
+    The lengths are the unigram entries: ``hyp_len, ref_len, _ = stats[0]``.
     With ``smoothing="none"`` any zero precision at an order the
     hypothesis actually covers forces a 0 score; ``"add-k"`` adds
     ``ADD_K`` to match and total counts instead.
     """
     if smoothing not in ("none", "add-k"):
         raise ValueError(f"unknown smoothing: {smoothing!r}")
-    if stats.hyp_len == 0:
+    hyp_len, ref_len, _ = stats[0]
+    if hyp_len == 0:
         # Empty hypothesis: 0 against any real reference, vacuously perfect
         # against an empty one (keeps corpus micro-averaging total).
-        return MetricScore(100.0 if stats.ref_len == 0 else 0.0)
+        return MetricScore(100.0 if ref_len == 0 else 0.0)
     log_sum = 0.0
     included = 0
     zero_hit = False
-    for match, total in zip(stats.matches, stats.totals):
+    for total, _ref_total, match in stats:
         if total == 0:
             continue
         if smoothing == "add-k":
@@ -214,10 +211,10 @@ def score_from_bleu_stats(stats: BleuStats, smoothing: str = "none") -> MetricSc
             zero_hit = True
         else:
             log_sum += math.log(p)
-    if stats.hyp_len >= stats.ref_len:
+    if hyp_len >= ref_len:
         bp = 1.0
     else:
-        bp = math.exp(1.0 - stats.ref_len / stats.hyp_len)
+        bp = math.exp(1.0 - ref_len / hyp_len)
     if included == 0 or zero_hit:
         value = 0.0
     else:
@@ -242,16 +239,8 @@ def corpus_bleu(
     One reference per hypothesis; use sentence_bleu for multi-reference
     scoring.
     """
-    if len(hyps) != len(refs):
-        raise AlignmentError(
-            f"inputs are not aligned ({len(hyps)} hypotheses, {len(refs)} references)"
-        )
-    if not hyps:
-        raise ValueError("corpus must contain at least one segment")
-    total = bleu_stats(hyps[0], [refs[0]])
-    for hyp, ref in zip(hyps[1:], refs[1:]):
-        total = total + bleu_stats(hyp, [ref])
-    return score_from_bleu_stats(total, smoothing)
+    stats = corpus_stats(hyps, refs, lambda hyp, ref: bleu_stats(hyp, [ref]))
+    return score_from_bleu_stats(stats, smoothing)
 
 
 def char_ngram_counts(segment: str) -> NgramCounts:
@@ -263,31 +252,18 @@ def char_ngram_counts(segment: str) -> NgramCounts:
     )
 
 
-def chrf_stats_from_totals(
-    hyp_totals: Sequence[int], ref_totals: Sequence[int], matches: Sequence[int]
-) -> list[tuple[int, int, int]]:
-    """(hyp_total, ref_total, matched) per order from per-order totals and matches."""
-    return list(zip(hyp_totals, ref_totals, matches))
-
-
-def chrf_stats_from_counts(
-    hyp: NgramCounts, ref: NgramCounts
-) -> list[tuple[int, int, int]]:
-    """(hyp_total, ref_total, matched) per order from prebuilt char n-gram counts."""
-    return chrf_stats_from_totals(
-        ngram_totals(hyp), ngram_totals(ref), ngram_matches(hyp, ref)
-    )
-
-
-def char_ngram_stats(hyp: str, ref: str) -> list[tuple[int, int, int]]:
-    """(hyp_total, ref_total, matched) per character n-gram order 1..CHRF_ORDER.
+def char_ngram_stats(hyp: str, ref: str) -> NgramStats:
+    """Character n-gram statistics of orders 1..CHRF_ORDER.
 
     Whitespace is removed from both segments before extraction.
     """
-    return chrf_stats_from_counts(char_ngram_counts(hyp), char_ngram_counts(ref))
+    hyp_counts, ref_counts = char_ngram_counts(hyp), char_ngram_counts(ref)
+    return ngram_stats(
+        ngram_totals(hyp_counts), ngram_totals(ref_counts), ngram_matches(hyp_counts, ref_counts)
+    )
 
 
-def score_from_chrf_stats(stats: Sequence[tuple[int, int, int]]) -> MetricScore:
+def score_from_chrf_stats(stats: NgramStats) -> MetricScore:
     """Per-order F-beta, then the arithmetic mean over contributing orders.
 
     Orders where both sides have zero n-grams are excluded; if every order
@@ -318,13 +294,4 @@ def sentence_chrf(hyp: str, ref: str) -> MetricScore:
 
 def corpus_chrf(hyps: Sequence[str], refs: Sequence[str]) -> MetricScore:
     """Micro-averaged chrF: per-order counts summed over segments first."""
-    if len(hyps) != len(refs):
-        raise AlignmentError(
-            f"inputs are not aligned ({len(hyps)} hypotheses, {len(refs)} references)"
-        )
-    if not hyps:
-        raise ValueError("corpus must contain at least one segment")
-    per_segment = [char_ngram_stats(hyp, ref) for hyp, ref in zip(hyps, refs)]
-    return score_from_chrf_stats(
-        [tuple(map(sum, zip(*order))) for order in zip(*per_segment)]
-    )
+    return score_from_chrf_stats(corpus_stats(hyps, refs, char_ngram_stats))

@@ -32,8 +32,8 @@ class FilterConfig:
     dedup: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_length_ratio <= 0:
-            raise DataError("max_length_ratio must be > 0")
+        if not self.max_length_ratio > 0:  # also rejects NaN
+            raise DataError(f"max_length_ratio must be > 0, got {self.max_length_ratio}")
         if self.min_tokens < 0:
             raise DataError("min_tokens must be >= 0")
         if self.min_tokens > self.max_tokens:

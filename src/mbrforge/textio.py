@@ -37,9 +37,10 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write through a temp file in the same directory, then rename over ``path``.
 
     A new file gets the mode a plain ``open`` would give it, 0o666 less the
-    umask; a replaced file keeps its mode.
+    umask; a replaced file keeps its mode.  A symbolic link is written
+    through: its target is replaced and the link is left in place.
     """
-    path = Path(path)
+    path = Path(os.path.realpath(path))
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:

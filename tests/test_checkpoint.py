@@ -253,8 +253,9 @@ class TestLoraMerge:
     def test_adapter_validation(self):
         with pytest.raises(DataError, match="rank"):
             LoraAdapter(rank=0, alpha=1.0, targets=())
-        with pytest.raises(DataError, match="alpha"):
-            LoraAdapter(rank=1, alpha=0.0, targets=())
+        for alpha in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DataError, match="alpha must be finite and positive"):
+                LoraAdapter(rank=1, alpha=alpha, targets=())
         with pytest.raises(DataError, match="rows"):
             LoraAdapter(rank=2, alpha=1.0, targets=(("w", f32([[1.0]]), f32([[1.0]])),))
 

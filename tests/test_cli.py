@@ -365,6 +365,15 @@ class TestCheckpointCommands:
         assert rc == 3
         assert "store 2" in capsys.readouterr().err
 
+    def test_avg_names_the_corrupt_input(self, tmp_path, capsys):
+        a = tmp_path / "a.tsf"
+        bad = tmp_path / "bad.tsf"
+        TensorStore({"w": np.array([1.0], dtype=np.float32)}).save(a)
+        bad.write_bytes(b"XSF1\n\n")
+        rc = cli.main(["avg", "--inputs", str(a), str(bad), "--out", str(tmp_path / "o.tsf")])
+        assert rc == 3
+        assert f"{bad}: not a TSF container (bad magic)" in capsys.readouterr().err
+
     def test_lora_merge(self, tmp_path):
         base = tmp_path / "base.tsf"
         adapter = tmp_path / "adapter.tsf"

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from mbrforge.errors import AlignmentError
 from mbrforge.mbr import UtilitySpec, make_scorer
 from mbrforge.metrics import (
-    BleuStats,
     MetricScore,
     bleu_stats,
     char_ngram_stats,
     corpus_bleu,
     corpus_chrf,
+    corpus_stats,
     ngram_counts,
     score_from_bleu_stats,
     score_from_chrf_stats,
@@ -70,16 +70,16 @@ class TestBleuFrozen:
     def test_clipping(self):
         hyp = ["the", "the", "the", "the"]
         ref = ["the", "cat"]
-        stats = bleu_stats(hyp, [ref])
-        assert stats.matches == (1, 0, 0, 0)
-        assert stats.totals == (4, 3, 2, 1)
+        totals, _ref_totals, matches = zip(*bleu_stats(hyp, [ref]))
+        assert matches == (1, 0, 0, 0)
+        assert totals == (4, 3, 2, 1)
         assert sentence_bleu(hyp, [ref]).value == 0.0
 
     def test_clipping_against_best_single_reference(self):
         hyp = ["the", "the"]
         stats = bleu_stats(hyp, [["the"], ["the", "the", "cat"]])
         # Two occurrences in the second reference allow both matches.
-        assert stats.matches[0] == 2
+        assert stats[0][2] == 2
 
     def test_zero_overlap_is_zero(self):
         assert sentence_bleu(["a", "b"], [["c", "d"]]).value == 0.0
@@ -97,7 +97,7 @@ class TestBleuFrozen:
 
     def test_ref_len_tie_prefers_shorter(self):
         stats = bleu_stats(["a", "b", "c"], [["a", "b"], ["a", "b", "c", "d"]])
-        assert stats.ref_len == 2
+        assert stats[0][1] == 2
 
     def test_empty_vs_empty(self):
         assert sentence_bleu([], [[]]).value == 100.0
@@ -128,10 +128,12 @@ class TestBleuFrozen:
     def test_stats_are_summable(self):
         a = bleu_stats(["a", "b"], [["a", "b"]])
         b = bleu_stats(["c"], [["c", "d"]])
-        total = a + b
-        assert total.matches[0] == a.matches[0] + b.matches[0]
-        assert total.hyp_len == 3
-        assert total.ref_len == 4
+        total = corpus_stats(
+            [["a", "b"], ["c"]], [["a", "b"], ["c", "d"]], lambda hyp, ref: bleu_stats(hyp, [ref])
+        )
+        assert total[0][2] == a[0][2] + b[0][2]
+        assert total[0][0] == 3
+        assert total[0][1] == 4
 
 
 class TestChrfFrozen:
@@ -285,7 +287,8 @@ class TestExactStatistics:
                 for gram in set(hyp_grams)
             ))
         stats = bleu_stats(hyp, refs)
-        assert (stats.matches, stats.totals, stats.hyp_len) == (
+        got_totals, _ref_totals, got_matches = zip(*stats)
+        assert (got_matches, got_totals, stats[0][0]) == (
             tuple(matches), tuple(totals), len(hyp)
         )
 
@@ -317,5 +320,5 @@ class TestValidation:
             bleu_stats(["a"], [])
 
     def test_score_from_empty_hyp_stats(self):
-        stats = BleuStats((0, 0, 0, 0), (0, 0, 0, 0), 0, 3)
+        stats = [(0, 3, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)]
         assert score_from_bleu_stats(stats).value == 0.0

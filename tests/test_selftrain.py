@@ -95,6 +95,8 @@ class TestFilter:
         with pytest.raises(DataError):
             FilterConfig(max_length_ratio=0.0)
         with pytest.raises(DataError):
+            FilterConfig(max_length_ratio=float("nan"))
+        with pytest.raises(DataError):
             FilterConfig(min_tokens=-1)
         with pytest.raises(DataError):
             FilterConfig(min_tokens=5, max_tokens=3)

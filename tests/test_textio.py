@@ -91,6 +91,16 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"new"
         assert stat.S_IMODE(path.stat().st_mode) == 0o604
 
+    def test_symlinked_output_writes_through_to_its_target(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("old\n")
+        link = tmp_path / "out.txt"
+        link.symlink_to(target.name)
+        write_segments(link, ["new"])
+        assert link.is_symlink()
+        assert target.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "target.txt"]
+
 
 class TestRequireAligned:
     def test_equal_counts_pass(self):
