@@ -12,10 +12,8 @@ Exit codes: 0 ok, 2 usage error, 3 alignment/data error, 4 bridge error,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
-import shlex
 import sys
 from typing import TYPE_CHECKING
 
@@ -300,6 +298,8 @@ def cmd_mbr(args: argparse.Namespace) -> int:
     if args.utility == "external":
         if not args.external_cmd:
             raise UsageError("--utility external requires --external-cmd")
+        import shlex
+
         from .bridge import BridgeConfig
 
         spec = mbr.UtilitySpec(
@@ -424,6 +424,8 @@ def _fewshot_records(doc: promptgen.ChatDocument, k: int):
 
 
 def cmd_prompts(args: argparse.Namespace) -> int:
+    import json
+
     from . import promptgen
 
     documents = promptgen.read_chat_documents(args.doc)

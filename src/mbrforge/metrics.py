@@ -23,6 +23,12 @@ order, the tuple ``(hyp_total, ref_total, matched)``.  ``ngram_stats``
 builds it from per-order totals and clipped matches, corpus scores sum it
 per order, and native MBR builds it from memoised totals and matches.
 BLEU's hypothesis and reference lengths are the unigram totals.
+
+The n-gram builders run their inner loops in C: ``tokenize`` takes an
+alphanumeric word whole, word n-grams are zipped shifted slices, and each
+character order is the order below joined with the next character by
+``map``.  They yield the same grams as slicing position by position, so
+every statistic is the same integer and every score is bit-identical.
 """
 
 from __future__ import annotations
@@ -31,9 +37,8 @@ import math
 import operator
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import AlignmentError
 
@@ -61,21 +66,21 @@ def tokenize(text: str, scheme: str = "punctuation-split") -> TokenSequence:
     if scheme != "punctuation-split":
         raise ValueError(f"unknown tokenize scheme: {scheme!r}")
     tokens: list[str] = []
-    current: list[str] = []
-    for ch in text:
-        if ch.isspace():
-            if current:
-                tokens.append("".join(current))
-                current = []
-        elif unicodedata.category(ch).startswith("P"):
-            if current:
-                tokens.append("".join(current))
-                current = []
-            tokens.append(ch)
-        else:
-            current.append(ch)
-    if current:
-        tokens.append("".join(current))
+    for word in text.split():
+        if word.isalnum():  # no punctuation character is alphanumeric
+            tokens.append(word)
+            continue
+        current: list[str] = []
+        for ch in word:
+            if unicodedata.category(ch).startswith("P"):
+                if current:
+                    tokens.append("".join(current))
+                    current = []
+                tokens.append(ch)
+            else:
+                current.append(ch)
+        if current:
+            tokens.append("".join(current))
     return tokens
 
 
@@ -83,19 +88,23 @@ def ngram_counts(tokens: Sequence[str], order: int) -> Counter:
     """Multiset of the ``order``-grams of a token sequence."""
     if order < 1:
         raise ValueError("n-gram order must be >= 1")
-    return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
+    return Counter(zip(*(tokens[k:] for k in range(order))))
 
 
-@dataclass(frozen=True)
-class MetricScore:
-    """A 0..100 score; ``brevity_penalty`` is 1.0 for chrF."""
-
+class _Score(NamedTuple):
     value: float
     brevity_penalty: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 100.0:
-            raise ValueError(f"metric value out of range: {self.value}")
+
+class MetricScore(_Score):
+    """A 0..100 score; ``brevity_penalty`` is 1.0 for chrF."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: float, brevity_penalty: float = 1.0) -> MetricScore:
+        if not 0.0 <= value <= 100.0:
+            raise ValueError(f"metric value out of range: {value}")
+        return super().__new__(cls, value, brevity_penalty)
 
 
 def _clipped_matches(a: Counter, b: Counter) -> int:
@@ -246,10 +255,12 @@ def corpus_bleu(
 def char_ngram_counts(segment: str) -> NgramCounts:
     """Character n-gram counts for orders 1..CHRF_ORDER, whitespace removed."""
     chars = "".join(segment.split())
-    return tuple(
-        Counter(chars[i : i + order] for i in range(len(chars) - order + 1))
-        for order in range(1, CHRF_ORDER + 1)
-    )
+    counts = [Counter(chars)]
+    grams: Sequence[str] = chars
+    for k in range(1, CHRF_ORDER):
+        grams = list(map(operator.add, grams, chars[k:]))  # order k+1 from order k
+        counts.append(Counter(grams))
+    return tuple(counts)
 
 
 def char_ngram_stats(hyp: str, ref: str) -> NgramStats:

@@ -267,7 +267,7 @@ def read_chat_documents(path: str | Path) -> list[ChatDocument]:
     """
     grouped: dict[str, dict[int, ChatTurn]] = {}
     raw = read_text(path)
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"

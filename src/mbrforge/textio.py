@@ -1,9 +1,9 @@
 """Plain-text segment files and atomic output writing.
 
 Segment files are UTF-8, one segment per line, LF line endings; a trailing
-LF on the final line is optional and ignored on read.  All writers go
-through a temp-file-plus-rename so a failed run never leaves a truncated
-output behind.
+LF on the final line is optional and ignored on read.  A CR is content, not
+a line break.  All writers go through a temp-file-plus-rename so a failed
+run never leaves a truncated output behind.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from .errors import AlignmentError, DataError
 
 
 def read_text(path: str | Path) -> str:
-    """Read a whole UTF-8 file; bytes that do not decode raise DataError."""
+    """Read a whole UTF-8 file with no newline translation; bad bytes raise DataError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
 

@@ -10,6 +10,32 @@ meaningful where tests ask for it.
 from __future__ import annotations
 
 import math
+import unicodedata
+
+
+def oracle_tokenize(text):
+    """Punctuation-split tokens by one pass over the characters.
+
+    Whitespace ends a token; each punctuation character (Unicode category
+    P*) is a token of its own.
+    """
+    tokens = []
+    current = []
+    for ch in text:
+        if ch.isspace():
+            if current:
+                tokens.append("".join(current))
+                current = []
+        elif unicodedata.category(ch).startswith("P"):
+            if current:
+                tokens.append("".join(current))
+                current = []
+            tokens.append(ch)
+        else:
+            current.append(ch)
+    if current:
+        tokens.append("".join(current))
+    return tokens
 
 
 def list_ngrams(tokens, n):

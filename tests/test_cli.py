@@ -592,11 +592,12 @@ class TestEntryPoints:
 
     def test_cli_import_leaves_numpy_unloaded(self):
         # Each command imports the layers it runs (only avg and lora-merge
-        # need checkpoint and numpy), so start-up pays for none of them.
+        # need checkpoint and numpy), so start-up pays for none of them;
+        # MetricScore is a named tuple, so eval loads no dataclasses.
         unloaded = {
             "numpy", "mbrforge.checkpoint", "mbrforge.mbr", "mbrforge.bridge",
             "mbrforge.promptgen", "mbrforge.selftrain", "subprocess",
-            "concurrent.futures",
+            "concurrent.futures", "dataclasses", "json", "shlex",
         }
         result = subprocess.run(
             [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from mbrforge.mbr import UtilitySpec, make_scorer
 from mbrforge.metrics import (
     MetricScore,
     bleu_stats,
+    char_ngram_counts,
     char_ngram_stats,
     corpus_bleu,
     corpus_chrf,
@@ -23,6 +25,7 @@ from mbrforge.metrics import (
     sentence_bleu,
     sentence_chrf,
     tokenize,
+    word_ngram_counts,
 )
 from oracles import (
     list_ngrams,
@@ -31,11 +34,31 @@ from oracles import (
     oracle_chrf_counts,
     oracle_corpus_bleu,
     oracle_corpus_chrf,
+    oracle_tokenize,
 )
 
 tokens_st = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=8)
 nonempty_tokens_st = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=8)
 segment_st = st.text(alphabet="abc d", max_size=20)
+# Arbitrary Unicode, weighted towards what tokenizing and n-gram building
+# treat specially: punctuation, symbols, combining marks, digits and
+# every kind of whitespace, including line and paragraph separators.
+unicode_text_st = st.text(
+    st.one_of(
+        st.characters(),
+        st.characters(categories=["P", "S", "M", "N", "Z"]),
+        st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u2029\u3000,.!?¿«»—'\"-_()"),
+        st.sampled_from("abcé"),
+    ),
+    max_size=40,
+)
+
+
+def slice_counts(seq, orders):
+    """Counters of the order-n slices of ``seq`` for n in 1..orders."""
+    return tuple(
+        Counter(seq[i : i + n] for i in range(len(seq) - n + 1)) for n in range(1, orders + 1)
+    )
 
 
 class TestTokenize:
@@ -55,6 +78,11 @@ class TestTokenize:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             tokenize("x", "bytes")
+
+    @settings(max_examples=500)
+    @given(unicode_text_st)
+    def test_punctuation_split_equals_oracle(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
 
 
 class TestBleuFrozen:
@@ -292,6 +320,18 @@ class TestExactStatistics:
             tuple(matches), tuple(totals), len(hyp)
         )
 
+    @settings(max_examples=300)
+    @given(unicode_text_st)
+    def test_char_ngram_counts_equal_slices(self, text):
+        assert char_ngram_counts(text) == slice_counts("".join(text.split()), 6)
+
+    @settings(max_examples=300)
+    @given(unicode_text_st)
+    def test_word_ngram_counts_equal_slices(self, text):
+        tokens = tuple(oracle_tokenize(text))
+        assert word_ngram_counts(tokens) == slice_counts(tokens, 4)
+        assert word_ngram_counts(list(tokens)) == slice_counts(tokens, 4)
+
     @given(st.lists(st.text(alphabet="ab c,.", max_size=16), min_size=1, max_size=5))
     def test_native_scorers_equal_sentence_metrics(self, segments):
         triples = [("", hyp, ref) for hyp in segments for ref in segments]
@@ -310,6 +350,13 @@ class TestValidation:
             MetricScore(101.0)
         with pytest.raises(ValueError):
             MetricScore(-0.5)
+
+    def test_metric_score_is_immutable(self):
+        score = MetricScore(50.0, brevity_penalty=0.5)
+        assert (score.value, score.brevity_penalty) == (50.0, 0.5)
+        assert MetricScore(50.0).brevity_penalty == 1.0
+        with pytest.raises(AttributeError):
+            score.value = 60.0
 
     def test_ngram_counts_rejects_bad_order(self):
         with pytest.raises(ValueError):

@@ -365,6 +365,21 @@ class TestJsonlReader:
         [doc] = read_chat_documents(path)
         assert doc.doc_id == "7"
 
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"], ids=["nel", "ls", "ps"])
+    def test_unicode_line_breaks_stay_inside_strings(self, tmp_path, char):
+        # JSON allows these raw inside strings and json.dumps(ensure_ascii=False)
+        # writes them raw, so records are split on LF alone.
+        doc = ChatDocument(
+            doc_id=f"d{char}1",
+            turns=(
+                make_turn(source=f"Hello{char}world", mt=f"Hallo{char}Welt"),
+                make_turn(source="two", mt="zwei", reference=f"zw{char}ei"),
+            ),
+        )
+        path = tmp_path / "chat.jsonl"
+        write_doc_jsonl(doc, path)
+        assert read_chat_documents(path) == [doc]
+
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "chat.jsonl"
         path.write_bytes(b'{"source": "caf\xe9"}\n')

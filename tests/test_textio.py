@@ -30,6 +30,7 @@ class TestReadSegments:
             ("a\nb\n", ["a", "b"]),
             ("a\n\n", ["a", ""]),
             ("\n", [""]),
+            ("a\r\nb\r\n", ["a\r", "b\r"]),
         ],
     )
     def test_line_conventions(self, tmp_path, raw, expected):
@@ -47,6 +48,16 @@ class TestWriteSegments:
         path = tmp_path / "f.txt"
         write_segments(path, ["one", "", "three"])
         assert read_segments(path) == ["one", "", "three"]
+
+    @pytest.mark.parametrize(
+        "segments",
+        [["x\ry", "z"], ["crlf\r", "\r", ""], ["a\x85b", "c\u2028d\u2029"]],
+        ids=["inner-cr", "trailing-cr", "unicode-line-breaks"],
+    )
+    def test_round_trip_keeps_cr_and_unicode_line_breaks(self, tmp_path, segments):
+        path = tmp_path / "f.txt"
+        write_segments(path, segments)
+        assert read_segments(path) == segments
 
     def test_rejects_embedded_newline(self, tmp_path):
         with pytest.raises(ValueError):
