@@ -18,8 +18,7 @@ import queue
 import subprocess
 import sys
 import threading
-from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 from .errors import (
     BridgeCrashError,
@@ -63,15 +62,20 @@ def unescape_field(text: str) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class ScoreRequest:
+class _ScoreRequest(NamedTuple):
     src: str
     mt: str
     ref: str
 
-    def __post_init__(self) -> None:
+
+class ScoreRequest(_ScoreRequest):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ScoreRequest:
+        self = super().__new__(cls, *args, **kwargs)
         if self.mt == "":
             raise DataError("score request with empty mt field")
+        return self
 
     def encode(self) -> str:
         return "\t".join(
@@ -87,16 +91,20 @@ def decode_request(line: str) -> ScoreRequest:
     return ScoreRequest(src, mt, ref)
 
 
-@dataclass(frozen=True)
-class BridgeConfig:
-    """How to spawn and talk to a scorer process."""
-
+class _BridgeConfig(NamedTuple):
     command: tuple[str, ...]
     batch_size: int = 32
     timeout: float = 60.0  # seconds to wait for each reply line
     restart_on_failure: bool = True
 
-    def __post_init__(self) -> None:
+
+class BridgeConfig(_BridgeConfig):
+    """How to spawn and talk to a scorer process."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> BridgeConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.command:
             raise DataError("bridge command must not be empty")
         if not 1 <= self.batch_size <= MAX_BATCH_SIZE:
@@ -105,6 +113,7 @@ class BridgeConfig:
             )
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise DataError(f"timeout must be finite and positive, got {self.timeout}")
+        return self
 
 
 class BridgeClient:

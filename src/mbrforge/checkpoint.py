@@ -16,9 +16,8 @@ changing the format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,19 +176,23 @@ def average_checkpoints(stores: Sequence[TensorStore]) -> TensorStore:
     return averaged
 
 
-@dataclass(frozen=True)
-class LoraAdapter:
+class _LoraAdapter(NamedTuple):
+    rank: int
+    alpha: float
+    targets: tuple[tuple[str, np.ndarray, np.ndarray], ...]  # (name, A, B)
+
+
+class LoraAdapter(_LoraAdapter):
     """Low-rank update factors for named base tensors.
 
     For a base tensor of shape (d, k), A is (rank, k) and B is (d, rank);
     the merged weight is W + (alpha / rank) * B @ A.
     """
 
-    rank: int
-    alpha: float
-    targets: tuple[tuple[str, np.ndarray, np.ndarray], ...]  # (name, A, B)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> LoraAdapter:
+        self = super().__new__(cls, *args, **kwargs)
         if self.rank <= 0:
             raise DataError(f"rank must be positive, got {self.rank}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
@@ -203,16 +206,22 @@ class LoraAdapter:
                 raise DataError(
                     f"adapter {name!r}: B must have {self.rank} columns, got {b.shape}"
                 )
+        return self
 
 
 def adapter_from_store(store: TensorStore, alpha: float) -> LoraAdapter:
     """Read an adapter from a TSF store holding <name>.lora_A / <name>.lora_B.
 
-    The rank is taken from the A factors (their row count).
+    Each factor needs its partner.  The rank is taken from the A factors
+    (their row count).
     """
     targets = []
     rank: int | None = None
     for name in store.names():
+        if name.endswith(LORA_B_SUFFIX):
+            a_name = name[: -len(LORA_B_SUFFIX)] + LORA_A_SUFFIX
+            if a_name not in store:
+                raise DataError(f"adapter has {name!r} but no {a_name!r}")
         if not name.endswith(LORA_A_SUFFIX):
             continue
         base_name = name[: -len(LORA_A_SUFFIX)]

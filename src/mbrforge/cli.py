@@ -12,7 +12,6 @@ Exit codes: 0 ok, 2 usage error, 3 alignment/data error, 4 bridge error,
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -32,9 +31,13 @@ from .textio import atomic_write_text, read_segments, require_aligned, write_seg
 if TYPE_CHECKING:
     from . import promptgen, selftrain
 
-log = logging.getLogger("mbrforge")
-
 WORKERS_ENV = "MBRFORGE_WORKERS"
+
+
+def _info(args: argparse.Namespace, message: str) -> None:
+    """Write ``INFO mbrforge: <message>`` to stderr when -v is given."""
+    if args.verbose:
+        print(f"INFO mbrforge: {message}", file=sys.stderr)
 
 
 def _default_workers() -> int:
@@ -277,7 +280,7 @@ def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
         dest="write_meta",
         action="store_false",
         default=True,
-        help="skip the .meta provenance file",
+        help="skip the .meta provenance file and remove a stale one",
     )
 
 
@@ -317,9 +320,7 @@ def cmd_mbr(args: argparse.Namespace) -> int:
             kind=f"native-{args.utility}", include_self=args.include_self
         )
     cset = mbr.load_candidates(args.cand, args.src)
-    log.info(
-        "selecting over %d segments x %d systems", cset.num_segments, cset.num_systems
-    )
+    _info(args, f"selecting over {cset.num_segments} segments x {cset.num_systems} systems")
     matrices = mbr.segment_matrices(cset, spec, workers=args.workers)
     selection = mbr.selection_from_matrices(cset, matrices)
     write_segments(args.out, list(selection.chosen))
@@ -361,7 +362,7 @@ def cmd_build_st(args: argparse.Namespace) -> int:
     translations = read_segments(args.mt)
     corpus = selftrain.build_st_corpus(sources, translations, _filter_config(args))
     selftrain.write_corpus(corpus, args.out_prefix, write_meta=args.write_meta)
-    log.info("kept %d of %d pairs", len(corpus), len(sources))
+    _info(args, f"kept {len(corpus)} of {len(sources)} pairs")
     return EXIT_OK
 
 
@@ -372,7 +373,7 @@ def cmd_build_bt(args: argparse.Namespace) -> int:
     back = read_segments(args.bt)
     corpus = selftrain.build_bt_corpus(targets, back, tag=args.tag, config=_filter_config(args))
     selftrain.write_corpus(corpus, args.out_prefix, write_meta=args.write_meta)
-    log.info("kept %d of %d pairs", len(corpus), len(targets))
+    _info(args, f"kept {len(corpus)} of {len(targets)} pairs")
     return EXIT_OK
 
 
@@ -482,8 +483,6 @@ def cmd_prompts(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except BridgeError as exc:

@@ -9,10 +9,9 @@ BLEU/chrF metrics or an external scorer reached through the bridge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import metrics
 from .errors import DataError, MbrforgeError
@@ -28,15 +27,19 @@ Totals = tuple[int, ...]  # one integer per n-gram order
 UTILITY_KINDS = ("native-bleu", "native-chrf", "external")
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """m aligned source segments by n system outputs."""
-
+class _CandidateSet(NamedTuple):
     sources: tuple[str, ...]
     systems: tuple[str, ...]
     candidates: tuple[tuple[str, ...], ...]  # candidates[segment][system]
 
-    def __post_init__(self) -> None:
+
+class CandidateSet(_CandidateSet):
+    """m aligned source segments by n system outputs."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CandidateSet:
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.candidates) != len(self.sources):
             raise DataError(
                 f"{len(self.sources)} sources but {len(self.candidates)} candidate rows"
@@ -47,6 +50,7 @@ class CandidateSet:
                 raise DataError(
                     f"candidate row {i} has {len(row)} entries, expected {n}"
                 )
+        return self
 
     @property
     def num_segments(self) -> int:
@@ -57,8 +61,13 @@ class CandidateSet:
         return len(self.systems)
 
 
-@dataclass(frozen=True)
-class UtilitySpec:
+class _UtilitySpec(NamedTuple):
+    kind: str = "native-chrf"
+    include_self: bool = True
+    bridge: BridgeConfig | None = None
+
+
+class UtilitySpec(_UtilitySpec):
     """Which pairwise utility to use and how.
 
     ``include_self`` keeps the candidate itself in its own reference set
@@ -67,15 +76,15 @@ class UtilitySpec:
     process of an external utility.
     """
 
-    kind: str = "native-chrf"
-    include_self: bool = True
-    bridge: BridgeConfig | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> UtilitySpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in UTILITY_KINDS:
             raise DataError(f"unknown utility kind: {self.kind!r}")
         if self.kind == "external" and self.bridge is None:
             raise DataError("external utility requires a bridge config")
+        return self
 
     @property
     def uses_source(self) -> bool:
@@ -83,8 +92,7 @@ class UtilitySpec:
         return self.kind == "external"
 
 
-@dataclass(frozen=True)
-class UtilityMatrix:
+class UtilityMatrix(NamedTuple):
     """Pairwise utilities for one segment.
 
     ``values[c][r]`` scores candidate c as hypothesis against candidate r
@@ -100,8 +108,7 @@ class UtilityMatrix:
     best_mean: float
 
 
-@dataclass(frozen=True)
-class MbrSelection:
+class MbrSelection(NamedTuple):
     chosen: tuple[str, ...]
     indices: tuple[int, ...]
     expected_utilities: tuple[float, ...]

@@ -21,9 +21,8 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DataError
 from .textio import read_text
@@ -36,8 +35,7 @@ INSTRUCTION_TEMPLATE = (
 )
 
 
-@dataclass(frozen=True)
-class ChatTurn:
+class _ChatTurn(NamedTuple):
     speaker: str
     src_lang: str
     tgt_lang: str
@@ -45,27 +43,37 @@ class ChatTurn:
     mt: str
     reference: str | None = None
 
-    def __post_init__(self) -> None:
+
+class ChatTurn(_ChatTurn):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ChatTurn:
+        self = super().__new__(cls, *args, **kwargs)
         if self.speaker not in SPEAKERS:
             raise DataError(f"unknown speaker: {self.speaker!r}")
         if self.src_lang == self.tgt_lang:
             raise DataError(f"src_lang and tgt_lang are both {self.src_lang!r}")
         if self.source == "":
             raise DataError("turn source must not be empty")
+        return self
 
 
-@dataclass(frozen=True)
-class ChatDocument:
+class _ChatDocument(NamedTuple):
     doc_id: str
     turns: tuple[ChatTurn, ...]
 
-    def __post_init__(self) -> None:
+
+class ChatDocument(_ChatDocument):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ChatDocument:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.turns:
             raise DataError(f"document {self.doc_id!r} has no turns")
+        return self
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
+class RenderedPrompt(NamedTuple):
     text: str
     completion: str
 
@@ -188,8 +196,7 @@ _CONTEXT_QUERY_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class ParsedPrompt:
+class ParsedPrompt(NamedTuple):
     """Fields recovered from a rendered prompt."""
 
     history: tuple[tuple[str, str, str, str | None], ...]  # (src_lang, source, mt, ref)

@@ -12,9 +12,8 @@ removal keeps the first occurrence.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AlignmentError, DataError
 from .textio import read_segments, write_segments
@@ -24,33 +23,63 @@ PROVENANCE_TAGS = ("genuine", "self-train", "back-translate")
 DEFAULT_BT_TAG = "<BT>"
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class _FilterConfig(NamedTuple):
     max_length_ratio: float = 9.0
     min_tokens: int = 1
     max_tokens: int = 250
     dedup: bool = False
 
-    def __post_init__(self) -> None:
+
+class FilterConfig(_FilterConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> FilterConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.max_length_ratio > 0:  # also rejects NaN
             raise DataError(f"max_length_ratio must be > 0, got {self.max_length_ratio}")
         if self.min_tokens < 0:
             raise DataError("min_tokens must be >= 0")
         if self.min_tokens > self.max_tokens:
             raise DataError("min_tokens must not exceed max_tokens")
+        return self
 
 
-@dataclass(frozen=True)
 class ParallelCorpus:
-    pairs: tuple[tuple[str, str], ...]
-    provenance: tuple[str, ...]
+    """Sentence pairs with one provenance tag each; ``len()`` counts pairs.
 
-    def __post_init__(self) -> None:
-        if len(self.pairs) != len(self.provenance):
+    An immutable value with ``__slots__`` rather than a named tuple, whose
+    length would be its field count.
+    """
+
+    __slots__ = ("pairs", "provenance")
+
+    def __init__(
+        self, pairs: tuple[tuple[str, str], ...], provenance: tuple[str, ...]
+    ) -> None:
+        if len(pairs) != len(provenance):
             raise DataError("every pair needs exactly one provenance tag")
-        for tag in self.provenance:
+        for tag in provenance:
             if tag not in PROVENANCE_TAGS:
                 raise DataError(f"unknown provenance tag: {tag!r}")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "provenance", provenance)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pairs, self.provenance) == (other.pairs, other.provenance)
+
+    def __hash__(self) -> int:
+        return hash((self.pairs, self.provenance))
+
+    def __repr__(self) -> str:
+        return f"ParallelCorpus(pairs={self.pairs!r}, provenance={self.provenance!r})"
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -162,18 +191,22 @@ def merge_corpora(
 def write_corpus(
     corpus: ParallelCorpus, prefix: str | Path, write_meta: bool = True
 ) -> list[Path]:
-    """Write <prefix>.src / <prefix>.tgt (+ optional <prefix>.meta)."""
+    """Write <prefix>.src / <prefix>.tgt (+ optional <prefix>.meta).
+
+    Without ``write_meta`` a stale <prefix>.meta is removed, so that
+    ``read_corpus`` reads the new pairs as "genuine".
+    """
     prefix = Path(prefix)
     src_path = prefix.with_name(prefix.name + ".src")
     tgt_path = prefix.with_name(prefix.name + ".tgt")
     write_segments(src_path, list(corpus.sources))
     write_segments(tgt_path, list(corpus.targets))
-    written = [src_path, tgt_path]
-    if write_meta:
-        meta_path = prefix.with_name(prefix.name + ".meta")
-        write_segments(meta_path, list(corpus.provenance))
-        written.append(meta_path)
-    return written
+    meta_path = prefix.with_name(prefix.name + ".meta")
+    if not write_meta:
+        meta_path.unlink(missing_ok=True)
+        return [src_path, tgt_path]
+    write_segments(meta_path, list(corpus.provenance))
+    return [src_path, tgt_path, meta_path]
 
 
 def read_corpus(prefix: str | Path) -> ParallelCorpus:

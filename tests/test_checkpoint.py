@@ -274,9 +274,21 @@ class TestAdapterFromStore:
         assert [name for name, _a, _b in adapter.targets] == ["w"]
 
     def test_missing_b_factor(self):
-        store = TensorStore({"w.lora_A": f32([[1.0]])})
-        with pytest.raises(DataError, match="no 'w.lora_B'"):
-            adapter_from_store(store, alpha=1.0)
+        # Either factor without its partner is rejected.
+        cases = [
+            ({"w.lora_A": f32([[1.0]])}, "has 'w.lora_A' but no 'w.lora_B'"),
+            (
+                {
+                    "dec.w.lora_A": f32([[1.0]]),
+                    "dec.w.lora_B": f32([[1.0]]),
+                    "enc.w.lora_B": f32([[1.0]]),
+                },
+                "has 'enc.w.lora_B' but no 'enc.w.lora_A'",
+            ),
+        ]
+        for tensors, message in cases:
+            with pytest.raises(DataError, match=message):
+                adapter_from_store(TensorStore(tensors), alpha=1.0)
 
     def test_stray_tensor_rejected(self):
         store = TensorStore(

@@ -242,18 +242,18 @@ class TestCorpusCommands:
         assert read_segments(tmp_path / "st.meta") == ["self-train", "self-train"]
 
     def test_build_st_no_meta(self, tmp_path):
-        src = write_lines(tmp_path / "mono.txt", ["s"])
-        mt = write_lines(tmp_path / "mt.txt", ["t"])
-        cli.main(
-            [
-                "build-st",
-                "--src", str(src),
-                "--mt", str(mt),
-                "--out-prefix", str(tmp_path / "st"),
-                "--no-meta",
-            ]
-        )
+        # --no-meta also removes the .meta an earlier run left at the prefix.
+        mono = write_lines(tmp_path / "mono.txt", ["s one", "s two"])
+        mt = write_lines(tmp_path / "mt.txt", ["t one", "t two"])
+        prefix = str(tmp_path / "st")
+        cli.main(["build-bt", "--tgt", str(mono), "--bt", str(mt), "--out-prefix", prefix])
+        assert (tmp_path / "st.meta").exists()
+        cli.main(["build-st", "--src", str(mono), "--mt", str(mt), "--out-prefix", prefix,
+                  "--no-meta"])
         assert not (tmp_path / "st.meta").exists()
+        rc = cli.main(["merge", "--inputs", prefix, "--out-prefix", str(tmp_path / "all")])
+        assert rc == EXIT_OK
+        assert read_segments(tmp_path / "all.meta") == ["genuine", "genuine"]
 
     def test_build_st_filter_flags(self, tmp_path):
         src = write_lines(tmp_path / "mono.txt", ["one", "two tokens here"])
@@ -562,6 +562,36 @@ class TestWorkersDefault:
         assert "--workers" in capsys.readouterr().err
 
 
+class TestVerbose:
+    # Run in a child process, so stderr is exactly what a user sees.
+    @pytest.mark.parametrize(
+        "flags, step, expected",
+        [
+            (["-v"], "mbr", b"INFO mbrforge: selecting over 2 segments x 2 systems\n"),
+            ([], "mbr", b""),
+            (["-vv"], "build-st", b"INFO mbrforge: kept 3 of 3 pairs\n"),
+            ([], "build-st", b""),
+        ],
+    )
+    def test_stderr_bytes(self, tmp_path, cand_files, flags, step, expected):
+        src, a, b, _c = cand_files
+        mono = write_lines(tmp_path / "mono.txt", ["s one", "s two", "s three"])
+        mt = write_lines(tmp_path / "mt.txt", ["t one", "t two", "t three"])
+        argv = {
+            "mbr": ["mbr", "--src", str(src), "--cand", str(a), "--cand", str(b),
+                    "--out", str(tmp_path / "out.txt")],
+            "build-st": ["build-st", "--src", str(mono), "--mt", str(mt),
+                         "--out-prefix", str(tmp_path / "st")],
+        }[step]
+        result = subprocess.run(
+            [sys.executable, "-m", "mbrforge.cli", *flags, *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == expected
+
+
 class TestEntryPoints:
     def test_console_script_exists(self):
         exe = shutil.which("mbrforge")
@@ -593,11 +623,12 @@ class TestEntryPoints:
     def test_cli_import_leaves_numpy_unloaded(self):
         # Each command imports the layers it runs (only avg and lora-merge
         # need checkpoint and numpy), so start-up pays for none of them;
-        # MetricScore is a named tuple, so eval loads no dataclasses.
+        # Records are named tuples and -v prints directly, so no command
+        # loads dataclasses or logging.
         unloaded = {
             "numpy", "mbrforge.checkpoint", "mbrforge.mbr", "mbrforge.bridge",
             "mbrforge.promptgen", "mbrforge.selftrain", "subprocess",
-            "concurrent.futures", "dataclasses", "json", "shlex",
+            "concurrent.futures", "dataclasses", "json", "logging", "shlex",
         }
         result = subprocess.run(
             [
@@ -616,8 +647,8 @@ class TestEntryPoints:
         src, a, b, c = cand_files
         code = (
             "import sys; from mbrforge import cli; rc = cli.main(sys.argv[1:]); "
-            "print(rc, sorted({'mbrforge.bridge', 'subprocess', 'concurrent.futures'}"
-            " & sys.modules.keys()))"
+            "print(rc, sorted({'mbrforge.bridge', 'subprocess', 'concurrent.futures',"
+            " 'dataclasses', 'logging'} & sys.modules.keys()))"
         )
         argv = ["mbr", "--src", str(src), "--cand", str(a), "--cand", str(b),
                 "--cand", str(c), "--out", str(tmp_path / "out.txt")]
@@ -629,6 +660,22 @@ class TestEntryPoints:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "0 []"
+
+    def test_no_module_loads_dataclasses_or_logging(self):
+        modules = sorted(f"mbrforge.{p.stem}" for p in (SRC / "mbrforge").glob("*.py"))
+        assert "mbrforge.selftrain" in modules
+        code = (
+            f"import sys, {', '.join(modules)}; "
+            "print(sorted({'dataclasses', 'logging'} & sys.modules.keys()))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc_info:

@@ -166,6 +166,13 @@ class TestCorpusFiles:
         assert loaded.pairs == corpus.pairs
         assert loaded.provenance == ("genuine",)
 
+    def test_no_meta_removes_stale_meta(self, tmp_path):
+        write_corpus(build_bt_corpus(["z"], ["b"]), tmp_path / "corp")
+        paths = write_corpus(build_st_corpus(["s"], ["t"]), tmp_path / "corp", write_meta=False)
+        assert [p.suffix for p in paths] == [".src", ".tgt"]
+        assert not (tmp_path / "corp.meta").exists()
+        assert read_corpus(tmp_path / "corp").provenance == ("genuine",)
+
     def test_misaligned_files_rejected(self, tmp_path):
         (tmp_path / "corp.src").write_text("a\nb\n")
         (tmp_path / "corp.tgt").write_text("x\n")
@@ -190,7 +197,7 @@ class TestParallelCorpus:
             ParallelCorpus((("a", "b"),), ("mystery",))
 
     def test_column_views(self):
-        corpus = ParallelCorpus((("a", "x"), ("b", "y")), ("genuine", "genuine"))
-        assert corpus.sources == ("a", "b")
-        assert corpus.targets == ("x", "y")
-        assert len(corpus) == 2
+        corpus = ParallelCorpus((("a", "x"), ("b", "y"), ("c", "z")), ("genuine",) * 3)
+        assert corpus.sources == ("a", "b", "c")
+        assert corpus.targets == ("x", "y", "z")
+        assert len(corpus) == 3  # pairs, not fields
