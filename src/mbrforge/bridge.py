@@ -25,6 +25,7 @@ from .errors import (
     BridgeTimeoutError,
     DataError,
     ProtocolError,
+    ValidatedRecord,
 )
 
 MAX_BATCH_SIZE = 4096
@@ -68,7 +69,7 @@ class _ScoreRequest(NamedTuple):
     ref: str
 
 
-class ScoreRequest(_ScoreRequest):
+class ScoreRequest(ValidatedRecord, _ScoreRequest):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> ScoreRequest:
@@ -98,7 +99,7 @@ class _BridgeConfig(NamedTuple):
     restart_on_failure: bool = True
 
 
-class BridgeConfig(_BridgeConfig):
+class BridgeConfig(ValidatedRecord, _BridgeConfig):
     """How to spawn and talk to a scorer process."""
 
     __slots__ = ()

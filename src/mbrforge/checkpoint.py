@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, InfiniteDivergenceError
+from .errors import DataError, InfiniteDivergenceError, ValidatedRecord
 from .textio import atomic_write_bytes
 
 TSF_MAGIC = b"TSF1"
@@ -182,7 +182,7 @@ class _LoraAdapter(NamedTuple):
     targets: tuple[tuple[str, np.ndarray, np.ndarray], ...]  # (name, A, B)
 
 
-class LoraAdapter(_LoraAdapter):
+class LoraAdapter(ValidatedRecord, _LoraAdapter):
     """Low-rank update factors for named base tensors.
 
     For a base tensor of shape (d, k), A is (rank, k) and B is (d, rank);

@@ -16,7 +16,6 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from . import metrics
 from .errors import (
     EXIT_BRIDGE,
     EXIT_IO,
@@ -162,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--tokenize",
-        choices=list(metrics.TOKENIZE_SCHEMES),
+        choices=["whitespace", "punctuation-split"],
         default="punctuation-split",
         help="tokenization for BLEU",
     )
@@ -330,6 +329,8 @@ def cmd_mbr(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import metrics
+
     hyps = read_segments(args.hyp)
     refs = read_segments(args.ref)
     require_aligned({args.hyp: len(hyps), args.ref: len(refs)})
@@ -386,17 +387,29 @@ def cmd_merge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_avg(args: argparse.Namespace) -> int:
-    from . import checkpoint  # numpy loads only for the commands that need it
+def _checkpoint_layer():
+    """Import ``checkpoint`` with numpy's OpenBLAS on one thread.
 
+    OpenBLAS starts a worker per CPU as numpy loads, and neither checkpoint
+    command gains from it.  A value the user set wins.  Once numpy is loaded
+    the variable has no effect, so it is not set into the caller's environment.
+    """
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import checkpoint
+
+    return checkpoint
+
+
+def cmd_avg(args: argparse.Namespace) -> int:
+    checkpoint = _checkpoint_layer()  # numpy loads only for the commands that need it
     stores = [checkpoint.TensorStore.load(path) for path in args.inputs]
     checkpoint.average_checkpoints(stores).save(args.out)
     return EXIT_OK
 
 
 def cmd_lora_merge(args: argparse.Namespace) -> int:
-    from . import checkpoint
-
+    checkpoint = _checkpoint_layer()
     base = checkpoint.TensorStore.load(args.base)
     adapter = checkpoint.adapter_from_store(
         checkpoint.TensorStore.load(args.adapter), alpha=args.alpha

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by the library and the CLI.
+"""Exception hierarchy shared by the library and the CLI, and the mixin
+of the records whose checks raise it.
 
 Exit codes reported by the CLI: 0 ok, 2 usage error, 3 alignment/data
 error, 4 bridge error, 5 I/O error.
@@ -55,3 +56,10 @@ class BridgeCrashError(BridgeError):
 
 class BridgeTimeoutError(BridgeError):
     """The scorer did not answer within the configured timeout."""
+
+
+class ValidatedRecord:
+    """Named-tuple mixin: ``_make``, and ``_replace`` through it, validate via ``__new__``."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import metrics
-from .errors import DataError, MbrforgeError
+from .errors import DataError, MbrforgeError, ValidatedRecord
 from .textio import read_segments, require_aligned
 
 if TYPE_CHECKING:
@@ -33,7 +33,7 @@ class _CandidateSet(NamedTuple):
     candidates: tuple[tuple[str, ...], ...]  # candidates[segment][system]
 
 
-class CandidateSet(_CandidateSet):
+class CandidateSet(ValidatedRecord, _CandidateSet):
     """m aligned source segments by n system outputs."""
 
     __slots__ = ()
@@ -67,7 +67,7 @@ class _UtilitySpec(NamedTuple):
     bridge: BridgeConfig | None = None
 
 
-class UtilitySpec(_UtilitySpec):
+class UtilitySpec(ValidatedRecord, _UtilitySpec):
     """Which pairwise utility to use and how.
 
     ``include_self`` keeps the candidate itself in its own reference set

@@ -40,13 +40,11 @@ from collections import Counter
 from functools import reduce
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .errors import AlignmentError
+from .errors import AlignmentError, ValidatedRecord
 
 TokenSequence = list[str]
 NgramCounts = tuple[Counter, ...]  # index k holds the (k+1)-gram counts
 NgramStats = list[tuple[int, int, int]]  # (hyp_total, ref_total, matched) per order
-
-TOKENIZE_SCHEMES = ("whitespace", "punctuation-split")
 
 BLEU_ORDER = 4  # word n-gram orders 1..BLEU_ORDER
 ADD_K = 0.1  # added to matches and totals under add-k smoothing
@@ -96,7 +94,7 @@ class _Score(NamedTuple):
     brevity_penalty: float = 1.0
 
 
-class MetricScore(_Score):
+class MetricScore(ValidatedRecord, _Score):
     """A 0..100 score; ``brevity_penalty`` is 1.0 for chrF."""
 
     __slots__ = ()

@@ -24,7 +24,7 @@ import re
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import DataError
+from .errors import DataError, ValidatedRecord
 from .textio import read_text
 
 SPEAKERS = ("customer", "agent")
@@ -44,7 +44,7 @@ class _ChatTurn(NamedTuple):
     reference: str | None = None
 
 
-class ChatTurn(_ChatTurn):
+class ChatTurn(ValidatedRecord, _ChatTurn):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> ChatTurn:
@@ -63,7 +63,7 @@ class _ChatDocument(NamedTuple):
     turns: tuple[ChatTurn, ...]
 
 
-class ChatDocument(_ChatDocument):
+class ChatDocument(ValidatedRecord, _ChatDocument):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> ChatDocument:
@@ -177,21 +177,22 @@ def render_fewshot(
     return RenderedPrompt("".join(blocks), "")
 
 
-_INSTRUCTION_RE = re.compile(
+# Pattern strings, compiled on first use by re's cache: no command parses prompts.
+_INSTRUCTION_RE = (
     r"^Translate the following sentence into (?P<tgt>.+) with a style bias towards Natural:$"
 )
-_HISTORY_RE = re.compile(
+_HISTORY_RE = (
     r"^Natural (?P<sl>[^:]+): (?P<src>.*), Translated (?P<tl>[^:]+): (?P<mt>.*), "
     r"Natural (?P=tl): (?P<ref>.*)$"
 )
-_CONTEXT_RE = re.compile(
+_CONTEXT_RE = (
     r"^Natural (?P<sl>[^:]+): (?P<src>.*), Translated (?P<tl>[^:]+): (?P<mt>.*)$"
 )
-_STREAM_QUERY_RE = re.compile(
+_STREAM_QUERY_RE = (
     r"^Natural (?P<sl>[^:]+): (?P<src>.*), Translated (?P<tl>[^:]+): (?P<mt>.*), "
     r"Natural (?P=tl): $"
 )
-_CONTEXT_QUERY_RE = re.compile(
+_CONTEXT_QUERY_RE = (
     r"^Natural (?P<sl>[^:]+): (?P<src>.*), Natural (?P<tl>[^:]+): $"
 )
 
@@ -210,7 +211,7 @@ class ParsedPrompt(NamedTuple):
 def _split_on_instruction(text: str) -> tuple[list[str], str, str]:
     lines = text.split("\n")
     for pos, line in enumerate(lines):
-        match = _INSTRUCTION_RE.match(line)
+        match = re.match(_INSTRUCTION_RE, line)
         if match:
             if pos != len(lines) - 2:
                 raise DataError("instruction line is not followed by exactly the query line")
@@ -223,13 +224,13 @@ def parse_stream(text: str) -> ParsedPrompt:
     head, instruction_lang, query_line = _split_on_instruction(text)
     history = []
     for line in head:
-        match = _HISTORY_RE.match(line)
+        match = re.match(_HISTORY_RE, line)
         if not match:
             raise DataError(f"unparsable stream history line: {line!r}")
         history.append(
             (match.group("sl"), match.group("src"), match.group("mt"), match.group("ref"))
         )
-    match = _STREAM_QUERY_RE.match(query_line)
+    match = re.match(_STREAM_QUERY_RE, query_line)
     if not match:
         raise DataError(f"unparsable stream query line: {query_line!r}")
     return ParsedPrompt(
@@ -247,11 +248,11 @@ def parse_context(text: str) -> ParsedPrompt:
     head, instruction_lang, query_line = _split_on_instruction(text)
     window = []
     for line in head:
-        match = _CONTEXT_RE.match(line)
+        match = re.match(_CONTEXT_RE, line)
         if not match:
             raise DataError(f"unparsable context line: {line!r}")
         window.append((match.group("sl"), match.group("src"), match.group("mt"), None))
-    match = _CONTEXT_QUERY_RE.match(query_line)
+    match = re.match(_CONTEXT_QUERY_RE, query_line)
     if not match:
         raise DataError(f"unparsable context query line: {query_line!r}")
     return ParsedPrompt(
@@ -308,6 +309,13 @@ def read_chat_documents(path: str | Path) -> list[ChatDocument]:
                 raise DataError(
                     f"{where}: field {name!r} must be a string, got {type(value).__name__}"
                 )
+        for name, value in (("doc_id", doc_id), *fields.items()):
+            try:
+                value.encode()
+            except UnicodeEncodeError as exc:  # a lone surrogate from a \ud800-style escape
+                raise DataError(
+                    f"{where}: field {name!r} is not valid UTF-8: {exc.reason}"
+                ) from None
         try:
             turn = ChatTurn(**fields)
         except DataError as exc:

@@ -15,7 +15,7 @@ import random
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import AlignmentError, DataError
+from .errors import AlignmentError, DataError, ValidatedRecord
 from .textio import read_segments, write_segments
 
 PROVENANCE_TAGS = ("genuine", "self-train", "back-translate")
@@ -30,7 +30,7 @@ class _FilterConfig(NamedTuple):
     dedup: bool = False
 
 
-class FilterConfig(_FilterConfig):
+class FilterConfig(ValidatedRecord, _FilterConfig):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> FilterConfig:

@@ -343,6 +343,27 @@ class TestCorpusCommands:
         assert (tmp_path / "again.meta").read_bytes() == (tmp_path / "all.meta").read_bytes()
 
 
+BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
+
+
+def checkpoint_argvs(tmp_path: Path) -> list[list[str]]:
+    """argv of an avg and of a lora-merge over small stores in ``tmp_path``."""
+    TensorStore({"w": np.array([[1.0]], dtype=np.float32)}).save(tmp_path / "a.tsf")
+    TensorStore({"w": np.array([[3.0]], dtype=np.float32)}).save(tmp_path / "b.tsf")
+    TensorStore(
+        {
+            "w.lora_A": np.array([[2.0]], dtype=np.float32),
+            "w.lora_B": np.array([[3.0]], dtype=np.float32),
+        }
+    ).save(tmp_path / "adapter.tsf")
+    return [
+        ["avg", "--inputs", str(tmp_path / "a.tsf"), str(tmp_path / "b.tsf"),
+         "--out", str(tmp_path / "avg.tsf")],
+        ["lora-merge", "--base", str(tmp_path / "avg.tsf"), "--adapter",
+         str(tmp_path / "adapter.tsf"), "--alpha", "1.0", "--out", str(tmp_path / "merged.tsf")],
+    ]
+
+
 class TestCheckpointCommands:
     def test_avg(self, tmp_path):
         a = tmp_path / "a.tsf"
@@ -398,6 +419,41 @@ class TestCheckpointCommands:
         np.testing.assert_array_equal(
             TensorStore.load(out)["w"], np.array([[7.0]], dtype=np.float32)
         )
+
+    def test_in_process_run_leaves_environment_alone(self, tmp_path, monkeypatch):
+        # numpy is already loaded here, so a BLAS setting could only leak.
+        monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
+        assert "numpy" in sys.modules
+        before = dict(os.environ)
+        for argv in checkpoint_argvs(tmp_path):
+            assert cli.main(argv) == EXIT_OK
+        assert dict(os.environ) == before
+
+    @pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset"])
+    def test_child_runs_blas_on_one_thread(self, tmp_path, preset):
+        env = {k: v for k, v in os.environ.items() if k != BLAS_THREADS_ENV}
+        env["PYTHONPATH"] = str(SRC)
+        if preset is not None:
+            env[BLAS_THREADS_ENV] = preset
+        code = (
+            "import json, os, sys; from mbrforge import cli; "
+            "rcs = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+            "tasks = os.listdir('/proc/self/task') if os.path.isdir('/proc/self/task') else None; "
+            f"print(json.dumps([rcs, os.environ.get('{BLAS_THREADS_ENV}'), "
+            "tasks and len(tasks)]))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(checkpoint_argvs(tmp_path))],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        rcs, value, tasks = json.loads(result.stdout)
+        assert rcs == [EXIT_OK, EXIT_OK]
+        assert value == (preset or "1")
+        if preset is None and tasks is not None and os.cpu_count() >= 2:
+            assert tasks == 1  # no OpenBLAS worker beside the main thread
 
     def test_lora_merge_requires_alpha(self, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
@@ -528,6 +584,23 @@ class TestPromptsCommand:
         assert rc == 3
         assert "reference" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "text"])
+    def test_lone_surrogate_is_a_data_error(self, tmp_path, capsys, fmt):
+        # JSON's "\ud800" escape decodes to a code point UTF-8 cannot encode.
+        doc_path = tmp_path / "chat.jsonl"
+        doc_path.write_text(
+            '{"doc_id": "d", "turn_index": 0, "speaker": "customer", "src_lang": "en", '
+            '"tgt_lang": "de", "source": "hi \\ud800 there", "mt": "hallo"}\n'
+        )
+        out = tmp_path / "p.out"
+        rc = cli.main(
+            ["prompts", "--mode", "context", "--doc", str(doc_path), "--out", str(out),
+             "--format", fmt]
+        )
+        assert rc == 3
+        assert "field 'source' is not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWorkersDefault:
     def test_env_sets_default(self, monkeypatch):
@@ -622,13 +695,14 @@ class TestEntryPoints:
 
     def test_cli_import_leaves_numpy_unloaded(self):
         # Each command imports the layers it runs (only avg and lora-merge
-        # need checkpoint and numpy), so start-up pays for none of them;
-        # Records are named tuples and -v prints directly, so no command
-        # loads dataclasses or logging.
+        # need checkpoint and numpy, only eval and mbr need metrics), so
+        # start-up pays for none of them; records are named tuples and -v
+        # prints directly, so no command loads dataclasses or logging.
         unloaded = {
             "numpy", "mbrforge.checkpoint", "mbrforge.mbr", "mbrforge.bridge",
-            "mbrforge.promptgen", "mbrforge.selftrain", "subprocess",
-            "concurrent.futures", "dataclasses", "json", "logging", "shlex",
+            "mbrforge.metrics", "mbrforge.promptgen", "mbrforge.selftrain",
+            "subprocess", "concurrent.futures", "dataclasses", "json", "logging",
+            "shlex", "unicodedata",
         }
         result = subprocess.run(
             [

@@ -331,10 +331,12 @@ class TestJsonlReader:
             (record_line(doc_id=1.0), "'doc_id' must be a string or an integer, got float"),
             (record_line(doc_id=True), "'doc_id' must be a string or an integer, got bool"),
             (record_line(doc_id={}), "'doc_id' must be a string or an integer, got dict"),
+            (record_line(source="hi \ud800 there"), "'source' is not valid UTF-8"),
+            (record_line(doc_id="d\udfff"), "'doc_id' is not valid UTF-8"),
         ],
         ids=["array", "deep-nesting", "long-integer", "index-str", "index-null",
              "index-float", "source-list", "speaker-int", "reference-int",
-             "doc-float", "doc-bool", "doc-object"],
+             "doc-float", "doc-bool", "doc-object", "source-surrogate", "doc-surrogate"],
     )
     def test_bad_record(self, tmp_path, line, match):
         path = tmp_path / "chat.jsonl"

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from mbrforge.bridge import BridgeConfig, ScoreRequest
 from mbrforge.checkpoint import LoraAdapter
+from mbrforge.errors import DataError
 from mbrforge.mbr import CandidateSet, MbrSelection, UtilityMatrix, UtilitySpec
+from mbrforge.metrics import MetricScore
 from mbrforge.promptgen import ChatDocument, ChatTurn, ParsedPrompt, RenderedPrompt
 from mbrforge.selftrain import FilterConfig, ParallelCorpus
 
@@ -40,3 +44,29 @@ def test_assignment_raises(record, field):
     with pytest.raises(AttributeError):
         record.extra = None
     assert getattr(record, field) is before
+
+
+# Each validated record with one field changed to a value its constructor rejects.
+BAD_CHANGES = [
+    (MetricScore(50.0), {"value": 101.0}, ValueError),
+    (RECORDS[0][0], {"systems": ("a",)}, DataError),
+    (UtilitySpec(), {"kind": "bogus"}, DataError),
+    (ScoreRequest("s", "m", "r"), {"mt": ""}, DataError),
+    (BridgeConfig(("scorer",)), {"batch_size": 0}, DataError),
+    (FilterConfig(), {"max_length_ratio": float("nan")}, DataError),
+    (TURN, {"speaker": "robot"}, DataError),
+    (ChatDocument("d", (TURN,)), {"turns": ()}, DataError),
+    (RECORDS[-1][0], {"alpha": float("inf")}, DataError),
+]
+
+
+@pytest.mark.parametrize(
+    "record, changes, error",
+    BAD_CHANGES,
+    ids=[type(record).__name__ for record, _changes, _error in BAD_CHANGES],
+)
+def test_replace_validates_like_the_constructor(record, changes, error):
+    with pytest.raises(error) as from_constructor:
+        type(record)(**{**record._asdict(), **changes})
+    with pytest.raises(error, match=re.escape(str(from_constructor.value))):
+        record._replace(**changes)
