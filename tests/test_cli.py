@@ -438,9 +438,9 @@ class TestCheckpointCommands:
         code = (
             "import json, os, sys; from mbrforge import cli; "
             "rcs = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
-            "tasks = os.listdir('/proc/self/task') if os.path.isdir('/proc/self/task') else None; "
-            f"print(json.dumps([rcs, os.environ.get('{BLAS_THREADS_ENV}'), "
-            "tasks and len(tasks)]))"
+            "task = '/proc/self/task'; "
+            "tasks = len(os.listdir(task)) if os.path.isdir(task) else None; "
+            f"print(json.dumps([rcs, os.environ.get({BLAS_THREADS_ENV!r}), tasks]))"
         )
         result = subprocess.run(
             [sys.executable, "-c", code, json.dumps(checkpoint_argvs(tmp_path))],

@@ -16,8 +16,10 @@ from mbrforge.promptgen import ChatDocument, ChatTurn, ParsedPrompt, RenderedPro
 from mbrforge.selftrain import FilterConfig, ParallelCorpus
 
 TURN = ChatTurn("customer", "en", "de", "Hi", "Hallo")
+CANDIDATES = CandidateSet(("s",), ("a", "b"), (("x", "y"),))
+ADAPTER = LoraAdapter(1, 1.0, (("w", np.ones((1, 2), np.float32), np.ones((3, 1), np.float32)),))
 RECORDS = [
-    (CandidateSet(("s",), ("a", "b"), (("x", "y"),)), "sources"),
+    (CANDIDATES, "sources"),
     (UtilitySpec(), "kind"),
     (UtilityMatrix(0, ((100.0,),), (100.0,), 0, 100.0), "best_index"),
     (MbrSelection(("x",), (0,), (100.0,)), "chosen"),
@@ -29,8 +31,7 @@ RECORDS = [
     (ChatDocument("d", (TURN,)), "turns"),
     (RenderedPrompt("text", "completion"), "completion"),
     (ParsedPrompt((), "de", "en", "de", "Hi", None), "query_source"),
-    (LoraAdapter(1, 1.0, (("w", np.ones((1, 2), np.float32), np.ones((3, 1), np.float32)),)),
-     "alpha"),
+    (ADAPTER, "alpha"),
 ]
 
 
@@ -49,14 +50,14 @@ def test_assignment_raises(record, field):
 # Each validated record with one field changed to a value its constructor rejects.
 BAD_CHANGES = [
     (MetricScore(50.0), {"value": 101.0}, ValueError),
-    (RECORDS[0][0], {"systems": ("a",)}, DataError),
+    (CANDIDATES, {"systems": ("a",)}, DataError),
     (UtilitySpec(), {"kind": "bogus"}, DataError),
     (ScoreRequest("s", "m", "r"), {"mt": ""}, DataError),
     (BridgeConfig(("scorer",)), {"batch_size": 0}, DataError),
     (FilterConfig(), {"max_length_ratio": float("nan")}, DataError),
     (TURN, {"speaker": "robot"}, DataError),
     (ChatDocument("d", (TURN,)), {"turns": ()}, DataError),
-    (RECORDS[-1][0], {"alpha": float("inf")}, DataError),
+    (ADAPTER, {"alpha": float("inf")}, DataError),
 ]
 
 
