@@ -72,11 +72,9 @@ class _ScoreRequest(NamedTuple):
 class ScoreRequest(ValidatedRecord, _ScoreRequest):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> ScoreRequest:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.mt == "":
             raise DataError("score request with empty mt field")
-        return self
 
     def encode(self) -> str:
         return "\t".join(
@@ -104,8 +102,7 @@ class BridgeConfig(ValidatedRecord, _BridgeConfig):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> BridgeConfig:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not self.command:
             raise DataError("bridge command must not be empty")
         if not 1 <= self.batch_size <= MAX_BATCH_SIZE:
@@ -114,7 +111,6 @@ class BridgeConfig(ValidatedRecord, _BridgeConfig):
             )
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise DataError(f"timeout must be finite and positive, got {self.timeout}")
-        return self
 
 
 class BridgeClient:
@@ -262,14 +258,6 @@ class BridgeClient:
                     f"scorer reply for request {first_index + offset} is not finite: {line!r}"
                 )
             sink.append(value)
-
-
-def score_batch(
-    requests: Sequence[ScoreRequest], config: BridgeConfig
-) -> list[float]:
-    """One-shot convenience: spawn, score, shut down."""
-    with BridgeClient(config) as client:
-        return client.score(requests)
 
 
 def run_scorer_loop(

@@ -191,8 +191,7 @@ class LoraAdapter(ValidatedRecord, _LoraAdapter):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> LoraAdapter:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.rank <= 0:
             raise DataError(f"rank must be positive, got {self.rank}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
@@ -206,7 +205,6 @@ class LoraAdapter(ValidatedRecord, _LoraAdapter):
                 raise DataError(
                     f"adapter {name!r}: B must have {self.rank} columns, got {b.shape}"
                 )
-        return self
 
 
 def adapter_from_store(store: TensorStore, alpha: float) -> LoraAdapter:

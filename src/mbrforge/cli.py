@@ -30,21 +30,10 @@ from .textio import atomic_write_text, read_segments, require_aligned, write_seg
 if TYPE_CHECKING:
     from . import promptgen, selftrain
 
-WORKERS_ENV = "MBRFORGE_WORKERS"
-
-
 def _info(args: argparse.Namespace, message: str) -> None:
     """Write ``INFO mbrforge: <message>`` to stderr when -v is given."""
     if args.verbose:
         print(f"INFO mbrforge: {message}", file=sys.stderr)
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _workers_count(text: str) -> int:
@@ -57,11 +46,20 @@ def _workers_count(text: str) -> int:
     return value
 
 
+def _utf8_text(text: str) -> str:
+    """Argparse type for text that is written out: argv may hold non-UTF-8 bytes."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"not valid UTF-8: {text!r}") from None
+    return text
+
+
 def _add_workers_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
     parser.add_argument(
         "--workers",
         type=_workers_count,
-        default=_default_workers(),
+        default=1,
         help=help_text,
     )
 
@@ -136,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers_flag(
         p,
         "external-scorer processes for --utility external; native utilities "
-        f"score in one thread (env {WORKERS_ENV})",
+        "score in one thread",
     )
     p.set_defaults(func=cmd_mbr)
 
@@ -188,6 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bt", required=True, help="back-translations of the target file")
     p.add_argument(
         "--tag",
+        type=_utf8_text,
         default=None,
         help="optional token prepended to every synthetic source (e.g. '<BT>')",
     )
@@ -261,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["jsonl", "text"], default="jsonl")
     p.add_argument(
         "--separator",
+        type=_utf8_text,
         default="----",
         help="record separator line for --format text",
     )
@@ -298,17 +298,21 @@ def cmd_mbr(args: argparse.Namespace) -> int:
     from . import mbr  # each command imports the layers it runs, so start-up is cheap
 
     if args.utility == "external":
-        if not args.external_cmd:
-            raise UsageError("--utility external requires --external-cmd")
         import shlex
 
         from .bridge import BridgeConfig
 
+        try:
+            command = tuple(shlex.split(args.external_cmd or ""))
+        except ValueError as exc:
+            raise UsageError(f"cannot split --external-cmd: {exc}") from None
+        if not command:
+            raise UsageError("--utility external requires --external-cmd")
         spec = mbr.UtilitySpec(
             kind="external",
             include_self=args.include_self,
             bridge=BridgeConfig(
-                command=tuple(shlex.split(args.external_cmd)),
+                command=command,
                 batch_size=args.bridge_batch_size,
                 timeout=args.bridge_timeout,
                 restart_on_failure=args.bridge_restart,

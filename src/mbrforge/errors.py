@@ -1,6 +1,10 @@
 """Exception hierarchy shared by the library and the CLI, and the mixin
 of the records whose checks raise it.
 
+A validated record lists ``ValidatedRecord`` before its named-tuple base
+and defines ``_check(self) -> None``, which raises on the first bad field,
+in place of a ``__new__`` of its own.
+
 Exit codes reported by the CLI: 0 ok, 2 usage error, 3 alignment/data
 error, 4 bridge error, 5 I/O error.
 """
@@ -59,7 +63,15 @@ class BridgeTimeoutError(BridgeError):
 
 
 class ValidatedRecord:
-    """Named-tuple mixin: ``_make``, and ``_replace`` through it, validate via ``__new__``."""
+    """Named-tuple mixin that builds the tuple, then calls ``self._check()``.
+
+    So the constructor, ``_make`` and ``_replace`` (through ``_make``) all validate.
+    """
 
     __slots__ = ()
     _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self

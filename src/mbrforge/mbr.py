@@ -38,8 +38,7 @@ class CandidateSet(ValidatedRecord, _CandidateSet):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> CandidateSet:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if len(self.candidates) != len(self.sources):
             raise DataError(
                 f"{len(self.sources)} sources but {len(self.candidates)} candidate rows"
@@ -50,7 +49,6 @@ class CandidateSet(ValidatedRecord, _CandidateSet):
                 raise DataError(
                     f"candidate row {i} has {len(row)} entries, expected {n}"
                 )
-        return self
 
     @property
     def num_segments(self) -> int:
@@ -78,13 +76,11 @@ class UtilitySpec(ValidatedRecord, _UtilitySpec):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> UtilitySpec:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.kind not in UTILITY_KINDS:
             raise DataError(f"unknown utility kind: {self.kind!r}")
         if self.kind == "external" and self.bridge is None:
             raise DataError("external utility requires a bridge config")
-        return self
 
     @property
     def uses_source(self) -> bool:
@@ -177,8 +173,9 @@ def _native_scorer(
     Each distinct string's n-gram counts and per-order totals are built
     once.  Clipped matches are symmetric, so each unordered pair's matches
     are counted once and serve both (a, b) and (b, a); only the totals swap
-    sides.  The memos live for one call only, so memory stays bounded by a
-    batch.
+    sides.  A string's matches against itself are its totals, so they are
+    stored with its counts and never walked.  The memos live for one call
+    only, so memory stays bounded by a batch.
     """
 
     def score(triples: Sequence[tuple[str, str, str]]) -> list[float]:
@@ -189,7 +186,9 @@ def _native_scorer(
             entry = memo.get(text)
             if entry is None:
                 counts = features(text)
-                entry = memo[text] = (counts, metrics.ngram_totals(counts))
+                totals = metrics.ngram_totals(counts)
+                entry = memo[text] = (counts, totals)
+                matched[text, text] = totals
             return entry
 
         scores = []

@@ -99,10 +99,9 @@ class MetricScore(ValidatedRecord, _Score):
 
     __slots__ = ()
 
-    def __new__(cls, value: float, brevity_penalty: float = 1.0) -> MetricScore:
-        if not 0.0 <= value <= 100.0:
-            raise ValueError(f"metric value out of range: {value}")
-        return super().__new__(cls, value, brevity_penalty)
+    def _check(self) -> None:
+        if not 0.0 <= self.value <= 100.0:
+            raise ValueError(f"metric value out of range: {self.value}")
 
 
 def _clipped_matches(a: Counter, b: Counter) -> int:

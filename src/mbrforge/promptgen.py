@@ -19,7 +19,6 @@ the label strings themselves.
 from __future__ import annotations
 
 import json
-import random
 import re
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -47,15 +46,13 @@ class _ChatTurn(NamedTuple):
 class ChatTurn(ValidatedRecord, _ChatTurn):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> ChatTurn:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.speaker not in SPEAKERS:
             raise DataError(f"unknown speaker: {self.speaker!r}")
         if self.src_lang == self.tgt_lang:
             raise DataError(f"src_lang and tgt_lang are both {self.src_lang!r}")
         if self.source == "":
             raise DataError("turn source must not be empty")
-        return self
 
 
 class _ChatDocument(NamedTuple):
@@ -66,11 +63,9 @@ class _ChatDocument(NamedTuple):
 class ChatDocument(ValidatedRecord, _ChatDocument):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> ChatDocument:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not self.turns:
             raise DataError(f"document {self.doc_id!r} has no turns")
-        return self
 
 
 class RenderedPrompt(NamedTuple):
@@ -155,24 +150,18 @@ def render_fewshot(
     query_source: str,
     langs: tuple[str, str],
     k: int = 5,
-    rng_seed: int | None = None,
 ) -> RenderedPrompt:
     """k worked (source, reference) demonstrations, then the query block.
 
     Demos are taken first-k in list order; permuting the input permutes
-    the blocks identically.  With ``rng_seed`` set, k demos are drawn by a
-    seeded sample instead (still deterministic for a given seed).
+    the blocks identically.
     """
     if k < 0:
         raise DataError(f"k must be >= 0, got {k}")
     if len(demos) < k:
         raise DataError(f"need at least k={k} demonstrations, got {len(demos)}")
-    if rng_seed is None:
-        picked = list(demos[:k])
-    else:
-        picked = random.Random(rng_seed).sample(list(demos), k)
     src_lang, tgt_lang = langs
-    blocks = [f"{src_lang}: {src}\n{tgt_lang}: {ref}\n\n" for src, ref in picked]
+    blocks = [f"{src_lang}: {src}\n{tgt_lang}: {ref}\n\n" for src, ref in demos[:k]]
     blocks.append(f"{src_lang}: {query_source}\n{tgt_lang}: ")
     return RenderedPrompt("".join(blocks), "")
 

@@ -33,15 +33,13 @@ class _FilterConfig(NamedTuple):
 class FilterConfig(ValidatedRecord, _FilterConfig):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> FilterConfig:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not self.max_length_ratio > 0:  # also rejects NaN
             raise DataError(f"max_length_ratio must be > 0, got {self.max_length_ratio}")
         if self.min_tokens < 0:
             raise DataError("min_tokens must be >= 0")
         if self.min_tokens > self.max_tokens:
             raise DataError("min_tokens must not exceed max_tokens")
-        return self
 
 
 class ParallelCorpus:

@@ -18,7 +18,6 @@ from mbrforge.bridge import (
     decode_request,
     escape_field,
     run_scorer_loop,
-    score_batch,
     unescape_field,
 )
 from mbrforge.errors import (
@@ -136,12 +135,6 @@ class TestClient:
     def test_empty_request_list(self):
         with BridgeClient(double_config("constant", "1.0")) as client:
             assert client.score([]) == []
-
-    def test_score_batch_one_shot(self):
-        got = score_batch(
-            [ScoreRequest("s", "m", "r")], double_config("constant", "2.5")
-        )
-        assert got == [2.5]
 
     def test_unspawnable_command(self):
         with pytest.raises(BridgeCrashError):

@@ -125,10 +125,13 @@ class TestMbrCommand:
         assert "short.txt" in err
 
     def test_external_needs_command(self, tmp_path, cand_files, capsys):
+        # Missing, blank and unsplittable commands are all usage errors.
         src, a, b, _c = cand_files
-        rc, _out = run_mbr(tmp_path, src, [a, b], "--utility", "external")
-        assert rc == 2
-        assert "--external-cmd" in capsys.readouterr().err
+        for extra in ([], ["--external-cmd", "  \t "], ["--external-cmd", 'python3 "x']):
+            rc, out = run_mbr(tmp_path, src, [a, b], "--utility", "external", *extra)
+            assert rc == 2
+            assert "--external-cmd" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         rc, _out = run_mbr(
@@ -300,6 +303,17 @@ class TestCorpusCommands:
         )
         assert rc == 3
         assert "single" in capsys.readouterr().err
+
+    def test_build_bt_tag_not_utf8(self, tmp_path, capsys):
+        # Python decodes a non-UTF-8 argv byte to a lone surrogate.
+        tgt = write_lines(tmp_path / "tgt.txt", ["Hallo"])
+        bt = write_lines(tmp_path / "bt.txt", ["Hello"])
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["build-bt", "--tgt", str(tgt), "--bt", str(bt), "--tag", "\udcff",
+                      "--out-prefix", str(tmp_path / "bt")])
+        assert exc_info.value.code == 2
+        assert "--tag" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["bt.txt", "tgt.txt"]
 
     def test_merge_concatenates_and_shuffles(self, tmp_path):
         cli.main(
@@ -601,24 +615,27 @@ class TestPromptsCommand:
         assert "field 'source' is not valid UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_separator_not_utf8(self, tmp_path, capsys):
+        # Python decodes a non-UTF-8 argv byte to a lone surrogate.
+        doc_path = tmp_path / "chat.jsonl"
+        write_doc_jsonl(toy_chat_doc(), doc_path)
+        out = tmp_path / "p.txt"
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["prompts", "--mode", "context", "--doc", str(doc_path), "--out", str(out),
+                      "--format", "text", "--separator", "\udcff"])
+        assert exc_info.value.code == 2
+        assert "--separator" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWorkersDefault:
-    def test_env_sets_default(self, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "4")
-        assert cli._default_workers() == 4
-
-    def test_invalid_env_falls_back_to_one(self, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "lots")
-        assert cli._default_workers() == 1
-        monkeypatch.setenv(cli.WORKERS_ENV, "0")
-        assert cli._default_workers() == 1
-
-    def test_parser_picks_up_env(self, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "6")
-        args = cli.build_parser().parse_args(
-            ["mbr", "--src", "s", "--cand", "a", "--cand", "b", "--out", "o"]
-        )
-        assert args.workers == 6
+    def test_default_is_one(self):
+        parser = cli.build_parser()
+        for argv in (
+            ["mbr", "--src", "s", "--cand", "a", "--cand", "b", "--out", "o"],
+            ["eval", "--hyp", "h", "--ref", "r"],
+        ):
+            assert parser.parse_args(argv).workers == 1
 
     @pytest.mark.parametrize("value", ["0", "-5", "two"])
     @pytest.mark.parametrize(

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
+import mbrforge
 from mbrforge.bridge import BridgeConfig, ScoreRequest
 from mbrforge.checkpoint import LoraAdapter
-from mbrforge.errors import DataError
+from mbrforge.errors import DataError, ValidatedRecord
 from mbrforge.mbr import CandidateSet, MbrSelection, UtilityMatrix, UtilitySpec
 from mbrforge.metrics import MetricScore
 from mbrforge.promptgen import ChatDocument, ChatTurn, ParsedPrompt, RenderedPrompt
@@ -71,3 +74,15 @@ def test_replace_validates_like_the_constructor(record, changes, error):
         type(record)(**{**record._asdict(), **changes})
     with pytest.raises(error, match=re.escape(str(from_constructor.value))):
         record._replace(**changes)
+
+
+def test_every_validated_record_checks_through_the_mixin():
+    # A record built by the mixin's __new__ cannot skip its checks, and a new
+    # record must join BAD_CHANGES above.
+    for module in pkgutil.iter_modules(mbrforge.__path__):
+        importlib.import_module(f"mbrforge.{module.name}")
+    records = set(ValidatedRecord.__subclasses__())
+    for record in records:
+        assert "_check" in vars(record), record.__name__
+        assert "__new__" not in vars(record), record.__name__
+    assert records == {type(record) for record, _changes, _error in BAD_CHANGES}
