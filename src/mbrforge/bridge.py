@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import queue
+import re
 import subprocess
 import sys
 import threading
@@ -32,35 +33,23 @@ MAX_BATCH_SIZE = 4096
 
 _EOF = object()
 
+# Each special character and its escape; the backslash comes first so that
+# escape_field never escapes an escape it has just written.
+_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n"}
+_UNESCAPES = {escaped: raw for raw, escaped in _ESCAPES.items()}
+_ESCAPE_PATTERN = "|".join(map(re.escape, _UNESCAPES))
+
 
 def escape_field(text: str) -> str:
     """Escape backslash, TAB and LF so a field fits on one line."""
-    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+    for raw, escaped in _ESCAPES.items():
+        text = text.replace(raw, escaped)
+    return text
 
 
 def unescape_field(text: str) -> str:
     """Inverse of escape_field; left-to-right, unknown escapes are literal."""
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return re.sub(_ESCAPE_PATTERN, lambda match: _UNESCAPES[match[0]], text)
 
 
 class _ScoreRequest(NamedTuple):

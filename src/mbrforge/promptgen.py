@@ -11,9 +11,10 @@ Two line-oriented layouts over bilingual chat turns:
   line asking directly for the natural translation.
 
 All renders are byte-deterministic; every colon is followed by exactly
-one space (the layouts are normalized to that rule).  Each format has a
-parser that recovers the fields exactly as long as segments do not embed
-the label strings themselves.
+one space (the layouts are normalized to that rule).  Each line layout is
+one template; the renderers fill it in and the parsers match the pattern
+built from it, so a parse recovers the fields exactly as long as segments
+do not embed the label strings themselves.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ TURN_FIELDS = ("speaker", "src_lang", "tgt_lang", "source", "mt")  # required st
 INSTRUCTION_TEMPLATE = (
     "Translate the following sentence into {tgt_lang} with a style bias towards Natural:"
 )
+# The other line layouts, each filled in from one ChatTurn by str.format.
+_CONTEXT_LINE = "Natural {0.src_lang}: {0.source}, Translated {0.tgt_lang}: {0.mt}"
+_HISTORY_LINE = _CONTEXT_LINE + ", Natural {0.tgt_lang}: {0.reference}"
+_STREAM_QUERY = _CONTEXT_LINE + ", Natural {0.tgt_lang}: "
+_CONTEXT_QUERY = "Natural {0.src_lang}: {0.source}, Natural {0.tgt_lang}: "
 
 
 class _ChatTurn(NamedTuple):
@@ -73,18 +79,6 @@ class RenderedPrompt(NamedTuple):
     completion: str
 
 
-def _history_line(turn: ChatTurn) -> str:
-    return (
-        f"Natural {turn.src_lang}: {turn.source}, "
-        f"Translated {turn.tgt_lang}: {turn.mt}, "
-        f"Natural {turn.tgt_lang}: {turn.reference}"
-    )
-
-
-def _context_line(turn: ChatTurn) -> str:
-    return f"Natural {turn.src_lang}: {turn.source}, Translated {turn.tgt_lang}: {turn.mt}"
-
-
 def _check_index(doc: ChatDocument, index: int) -> ChatTurn:
     if not 0 <= index < len(doc.turns):
         raise DataError(
@@ -107,13 +101,9 @@ def render_stream(doc: ChatDocument, index: int, k_history: int) -> RenderedProm
                 f"stream render needs a reference on every history turn; "
                 f"turn {index - len(history) + offset} of {doc.doc_id!r} has none"
             )
-        lines.append(_history_line(turn))
+        lines.append(_HISTORY_LINE.format(turn))
     lines.append(INSTRUCTION_TEMPLATE.format(tgt_lang=query.tgt_lang))
-    lines.append(
-        f"Natural {query.src_lang}: {query.source}, "
-        f"Translated {query.tgt_lang}: {query.mt}, "
-        f"Natural {query.tgt_lang}: "
-    )
+    lines.append(_STREAM_QUERY.format(query))
     return RenderedPrompt("\n".join(lines), query.reference or "")
 
 
@@ -133,15 +123,13 @@ def render_context(
     query = _check_index(doc, index)
     if before < 0 or after < 0:
         raise DataError(f"window bounds must be >= 0, got before={before} after={after}")
-    lo = max(0, index - before)
-    hi = min(len(doc.turns), index + after + 1)
-    lines = []
-    for pos in range(lo, hi):
-        if pos == index and not include_query_context:
-            continue
-        lines.append(_context_line(doc.turns[pos]))
+    lines = [
+        _CONTEXT_LINE.format(doc.turns[pos])
+        for pos in range(max(0, index - before), min(len(doc.turns), index + after + 1))
+        if include_query_context or pos != index
+    ]
     lines.append(INSTRUCTION_TEMPLATE.format(tgt_lang=query.tgt_lang))
-    lines.append(f"Natural {query.src_lang}: {query.source}, Natural {query.tgt_lang}: ")
+    lines.append(_CONTEXT_QUERY.format(query))
     return RenderedPrompt("\n".join(lines), query.reference or "")
 
 
@@ -166,26 +154,6 @@ def render_fewshot(
     return RenderedPrompt("".join(blocks), "")
 
 
-# Pattern strings, compiled on first use by re's cache: no command parses prompts.
-_INSTRUCTION_RE = (
-    r"^Translate the following sentence into (?P<tgt>.+) with a style bias towards Natural:$"
-)
-_HISTORY_RE = (
-    r"^Natural (?P<sl>[^:]+): (?P<src>.*), Translated (?P<tl>[^:]+): (?P<mt>.*), "
-    r"Natural (?P=tl): (?P<ref>.*)$"
-)
-_CONTEXT_RE = (
-    r"^Natural (?P<sl>[^:]+): (?P<src>.*), Translated (?P<tl>[^:]+): (?P<mt>.*)$"
-)
-_STREAM_QUERY_RE = (
-    r"^Natural (?P<sl>[^:]+): (?P<src>.*), Translated (?P<tl>[^:]+): (?P<mt>.*), "
-    r"Natural (?P=tl): $"
-)
-_CONTEXT_QUERY_RE = (
-    r"^Natural (?P<sl>[^:]+): (?P<src>.*), Natural (?P<tl>[^:]+): $"
-)
-
-
 class ParsedPrompt(NamedTuple):
     """Fields recovered from a rendered prompt."""
 
@@ -197,61 +165,67 @@ class ParsedPrompt(NamedTuple):
     query_mt: str | None
 
 
-def _split_on_instruction(text: str) -> tuple[list[str], str, str]:
+def _pattern(template: str, lang: str = "[^:]+") -> str:
+    """The regex for a line filled in from ``template``.
+
+    A ``*_lang`` field matches ``lang``, any other field ``.*``, and a
+    field that appears again must repeat its first value.
+    """
+    pieces = re.split(r"\{(?:0\.)?(\w+)\}", template)
+    pattern, seen = re.escape(pieces[0]), set()
+    for name, literal in zip(pieces[1::2], pieces[2::2]):
+        if name in seen:
+            pattern += f"(?P={name})"
+        else:
+            seen.add(name)
+            pattern += f"(?P<{name}>{lang if name.endswith('_lang') else '.*'})"
+        pattern += re.escape(literal)
+    return pattern
+
+
+def _fields(template: str, line: str, name: str) -> dict[str, str]:
+    match = re.fullmatch(_pattern(template), line)
+    if not match:
+        raise DataError(f"unparsable {name} line: {line!r}")
+    return match.groupdict()
+
+
+def _parse(
+    text: str, line_template: str, line_name: str, query_template: str, query_name: str
+) -> ParsedPrompt:
     lines = text.split("\n")
     for pos, line in enumerate(lines):
-        match = re.match(_INSTRUCTION_RE, line)
+        # Any language fills the instruction line; the others need one without ":".
+        match = re.fullmatch(_pattern(INSTRUCTION_TEMPLATE, lang=".+"), line)
         if match:
             if pos != len(lines) - 2:
                 raise DataError("instruction line is not followed by exactly the query line")
-            return lines[:pos], match.group("tgt"), lines[-1]
-    raise DataError("no instruction line found in rendered prompt")
+            break
+    else:
+        raise DataError("no instruction line found in rendered prompt")
+    history = []
+    for line in lines[:pos]:
+        turn = _fields(line_template, line, line_name)
+        history.append((turn["src_lang"], turn["source"], turn["mt"], turn.get("reference")))
+    query = _fields(query_template, lines[-1], query_name)
+    return ParsedPrompt(
+        history=tuple(history),
+        instruction_lang=match["tgt_lang"],
+        query_src_lang=query["src_lang"],
+        query_tgt_lang=query["tgt_lang"],
+        query_source=query["source"],
+        query_mt=query.get("mt"),
+    )
 
 
 def parse_stream(text: str) -> ParsedPrompt:
     """Recover the fields of a streaming render."""
-    head, instruction_lang, query_line = _split_on_instruction(text)
-    history = []
-    for line in head:
-        match = re.match(_HISTORY_RE, line)
-        if not match:
-            raise DataError(f"unparsable stream history line: {line!r}")
-        history.append(
-            (match.group("sl"), match.group("src"), match.group("mt"), match.group("ref"))
-        )
-    match = re.match(_STREAM_QUERY_RE, query_line)
-    if not match:
-        raise DataError(f"unparsable stream query line: {query_line!r}")
-    return ParsedPrompt(
-        history=tuple(history),
-        instruction_lang=instruction_lang,
-        query_src_lang=match.group("sl"),
-        query_tgt_lang=match.group("tl"),
-        query_source=match.group("src"),
-        query_mt=match.group("mt"),
-    )
+    return _parse(text, _HISTORY_LINE, "stream history", _STREAM_QUERY, "stream query")
 
 
 def parse_context(text: str) -> ParsedPrompt:
     """Recover the fields of a context-aware render."""
-    head, instruction_lang, query_line = _split_on_instruction(text)
-    window = []
-    for line in head:
-        match = re.match(_CONTEXT_RE, line)
-        if not match:
-            raise DataError(f"unparsable context line: {line!r}")
-        window.append((match.group("sl"), match.group("src"), match.group("mt"), None))
-    match = re.match(_CONTEXT_QUERY_RE, query_line)
-    if not match:
-        raise DataError(f"unparsable context query line: {query_line!r}")
-    return ParsedPrompt(
-        history=tuple(window),
-        instruction_lang=instruction_lang,
-        query_src_lang=match.group("sl"),
-        query_tgt_lang=match.group("tl"),
-        query_source=match.group("src"),
-        query_mt=None,
-    )
+    return _parse(text, _CONTEXT_LINE, "context", _CONTEXT_QUERY, "context query")
 
 
 def read_chat_documents(path: str | Path) -> list[ChatDocument]:

@@ -186,6 +186,11 @@ def merge_corpora(
     return ParallelCorpus(tuple(pairs), tuple(provenance))
 
 
+def _corpus_files(prefix: Path) -> tuple[Path, ...]:
+    """The <prefix>.src, <prefix>.tgt and <prefix>.meta files of a corpus."""
+    return tuple(prefix.with_name(prefix.name + ext) for ext in (".src", ".tgt", ".meta"))
+
+
 def write_corpus(
     corpus: ParallelCorpus, prefix: str | Path, write_meta: bool = True
 ) -> list[Path]:
@@ -194,12 +199,9 @@ def write_corpus(
     Without ``write_meta`` a stale <prefix>.meta is removed, so that
     ``read_corpus`` reads the new pairs as "genuine".
     """
-    prefix = Path(prefix)
-    src_path = prefix.with_name(prefix.name + ".src")
-    tgt_path = prefix.with_name(prefix.name + ".tgt")
+    src_path, tgt_path, meta_path = _corpus_files(Path(prefix))
     write_segments(src_path, list(corpus.sources))
     write_segments(tgt_path, list(corpus.targets))
-    meta_path = prefix.with_name(prefix.name + ".meta")
     if not write_meta:
         meta_path.unlink(missing_ok=True)
         return [src_path, tgt_path]
@@ -210,14 +212,14 @@ def write_corpus(
 def read_corpus(prefix: str | Path) -> ParallelCorpus:
     """Read a corpus written by write_corpus; missing .meta means all "genuine"."""
     prefix = Path(prefix)
-    sources = read_segments(prefix.with_name(prefix.name + ".src"))
-    targets = read_segments(prefix.with_name(prefix.name + ".tgt"))
+    src_path, tgt_path, meta_path = _corpus_files(prefix)
+    sources = read_segments(src_path)
+    targets = read_segments(tgt_path)
     if len(sources) != len(targets):
         raise AlignmentError(
             f"corpus {prefix} is not aligned ({len(sources)} source lines, "
             f"{len(targets)} target lines)"
         )
-    meta_path = prefix.with_name(prefix.name + ".meta")
     if meta_path.exists():
         provenance = read_segments(meta_path)
         if len(provenance) != len(sources):

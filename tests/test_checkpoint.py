@@ -114,6 +114,7 @@ class TestTensorStore:
             (b"TSF1\nw\tf32\t0,-3\n\n", "bad shape"),
             (b"TSF1\nw\tf32\t2\n\n\x00\x00\x80?", "short"),
             (b"TSF1\nw\tf32\t1\n\n\x00\x00\x80?extra", "trailing bytes"),
+            (b"TSF1\n\xff\tf32\t1\n\n", "undecodable TSF header line"),
         ],
     )
     def test_malformed_containers(self, data, match):

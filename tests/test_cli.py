@@ -615,6 +615,32 @@ class TestPromptsCommand:
         assert "field 'source' is not valid UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc_text,flags,message",
+        [
+            ("\n  \n\n", ["--mode", "stream"], "no chat turns found in {doc}"),
+            (
+                '{"doc_id": "d", "turn_index": 0, "speaker": "robot", "src_lang": "en", '
+                '"tgt_lang": "de", "source": "hi", "mt": "hallo"}\n',
+                ["--mode", "context"],
+                "{doc}:1: unknown speaker: 'robot'",
+            ),
+            (None, ["--mode", "fewshot", "--k", "-1"], "k must be >= 0, got -1"),
+        ],
+        ids=["blank-lines", "unknown-speaker", "negative-k"],
+    )
+    def test_data_error_writes_nothing(self, tmp_path, capsys, doc_text, flags, message):
+        doc_path = tmp_path / "chat.jsonl"
+        if doc_text is None:
+            write_doc_jsonl(fewshot_doc(), doc_path)
+        else:
+            doc_path.write_text(doc_text)
+        out = tmp_path / "p.jsonl"
+        rc = cli.main(["prompts", "--doc", str(doc_path), "--out", str(out), *flags])
+        assert rc == 3
+        assert message.format(doc=doc_path) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_separator_not_utf8(self, tmp_path, capsys):
         # Python decodes a non-UTF-8 argv byte to a lone surrogate.
         doc_path = tmp_path / "chat.jsonl"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mbrforge.errors import DataError
 from mbrforge.promptgen import (
+    INSTRUCTION_TEMPLATE,
     ChatDocument,
     ChatTurn,
     parse_context,
@@ -250,6 +251,72 @@ class TestParsers:
         assert [h[1] for h in parsed.history] == [src for src, _mt, _ref in history_fields]
         assert [h[2] for h in parsed.history] == [mt for _src, mt, _ref in history_fields]
 
+    @given(
+        st.lists(st.tuples(field_st, field_st), min_size=1, max_size=5),
+        st.integers(0, 4),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.booleans(),
+    )
+    def test_context_round_trip_property(self, fields, index, before, after, own_line):
+        index %= len(fields)
+        langs = ("English", "German")
+        turns = tuple(
+            make_turn(src_lang=langs[pos % 2], tgt_lang=langs[1 - pos % 2], source=src, mt=mt)
+            for pos, (src, mt) in enumerate(fields)
+        )
+        doc = ChatDocument(doc_id="prop", turns=turns)
+        text = render_context(doc, index, before, after, include_query_context=own_line).text
+        parsed = parse_context(text)
+        window = [
+            (turn.src_lang, turn.source, turn.mt, None)
+            for pos, turn in enumerate(turns)
+            if index - before <= pos <= index + after and (own_line or pos != index)
+        ]
+        query = turns[index]
+        assert parsed.history == tuple(window)
+        assert parsed.instruction_lang == query.tgt_lang
+        assert parsed.query_src_lang == query.src_lang
+        assert parsed.query_tgt_lang == query.tgt_lang
+        assert parsed.query_source == query.source
+        assert parsed.query_mt is None
+
+    @pytest.mark.parametrize(
+        "parse,head,query,message",
+        [
+            (
+                parse_stream,
+                "Natural English: a, Translated German: b\n",
+                "Natural English: x, Translated German: y, Natural German: ",
+                "unparsable stream history line: 'Natural English: a, Translated German: b'",
+            ),
+            (
+                parse_stream,
+                "",
+                "Natural English: x, Natural German: ",
+                "unparsable stream query line: 'Natural English: x, Natural German: '",
+            ),
+            (
+                parse_context,
+                "Natural English: a\n",
+                "Natural English: x, Natural German: ",
+                "unparsable context line: 'Natural English: a'",
+            ),
+            (
+                parse_context,
+                "",
+                "Natural English: x, German: ",
+                "unparsable context query line: 'Natural English: x, German: '",
+            ),
+        ],
+        ids=["stream-history", "stream-query", "context", "context-query"],
+    )
+    def test_garbled_line_is_named(self, parse, head, query, message):
+        text = head + INSTRUCTION_TEMPLATE.format(tgt_lang="German") + "\n" + query
+        with pytest.raises(DataError) as exc_info:
+            parse(text)
+        assert str(exc_info.value) == message
+
 
 class TestJsonlReader:
     def test_round_trip(self, tmp_path):
@@ -320,10 +387,14 @@ class TestJsonlReader:
             (record_line(doc_id={}), "'doc_id' must be a string or an integer, got dict"),
             (record_line(source="hi \ud800 there"), "'source' is not valid UTF-8"),
             (record_line(doc_id="d\udfff"), "'doc_id' is not valid UTF-8"),
+            (record_line(speaker="robot"), "unknown speaker: 'robot'"),
+            (record_line(tgt_lang="English"), "src_lang and tgt_lang are both 'English'"),
+            (record_line(source=""), "turn source must not be empty"),
         ],
         ids=["array", "deep-nesting", "long-integer", "index-str", "index-null",
              "index-float", "source-list", "speaker-int", "reference-int",
-             "doc-float", "doc-bool", "doc-object", "source-surrogate", "doc-surrogate"],
+             "doc-float", "doc-bool", "doc-object", "source-surrogate", "doc-surrogate",
+             "speaker-unknown", "same-languages", "source-empty"],
     )
     def test_bad_record(self, tmp_path, line, match):
         path = tmp_path / "chat.jsonl"

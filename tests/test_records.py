@@ -47,6 +47,8 @@ def test_assignment_raises(record, field):
         setattr(record, field, None)
     with pytest.raises(AttributeError):
         record.extra = None
+    with pytest.raises(AttributeError):
+        delattr(record, field)
     assert getattr(record, field) is before
 
 

@@ -86,6 +86,19 @@ class TestAtomicWrite:
         atomic_write_bytes(path, b"data")
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
+    def test_failed_rename_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        write_segments(path, ["old"])
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            write_segments(path, ["new", "lines"])
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
     def test_new_file_mode_follows_umask(self, tmp_path):
         old = os.umask(0o027)
         try:
