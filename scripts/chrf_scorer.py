@@ -7,8 +7,10 @@ and answers one score per line.  Plug it into selection with:
     mbrforge mbr --utility external \
         --external-cmd "python3 scripts/chrf_scorer.py" ...
 
-Swap --metric to bleu to score with tokenized BLEU instead.  The point
-of this file is to be copied: replace `score` with any function of the
+Swap --metric to bleu to score with BLEU instead.  Either way it scores
+with the native utility's own scorer, so selection through it matches
+``--utility chrf`` or ``--utility bleu`` byte for byte.  The point of
+this file is to be copied: replace `score` with any function of the
 three fields and the pipeline picks it up unchanged.
 """
 
@@ -17,22 +19,17 @@ from __future__ import annotations
 import argparse
 
 from mbrforge.bridge import ScoreRequest, run_scorer_loop
-from mbrforge.metrics import sentence_bleu, sentence_chrf, tokenize
+from mbrforge.mbr import UtilitySpec, make_scorer
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--metric", choices=("chrf", "bleu"), default="chrf")
     args = parser.parse_args()
+    native = make_scorer(UtilitySpec(kind=f"native-{args.metric}"))
 
-    if args.metric == "chrf":
-        def score(request: ScoreRequest) -> float:
-            return sentence_chrf(request.mt, request.ref).value
-    else:
-        def score(request: ScoreRequest) -> float:
-            return sentence_bleu(
-                tokenize(request.mt), [tokenize(request.ref)], smoothing="add-k"
-            ).value
+    def score(request: ScoreRequest) -> float:
+        return native([request])[0]
 
     run_scorer_loop(score)
 

@@ -4,8 +4,8 @@ Wire protocol, chosen for trivial scorer-side implementation: every
 request is one line on the child's standard input with the fields
 ``src``, ``mt``, ``ref`` separated by a single TAB; tabs, newlines and
 backslashes inside fields are escaped as ``\\t``, ``\\n``, ``\\\\``.  A blank
-line flushes a batch.  The child replies one decimal number per line on
-standard output, in request order.
+line flushes a batch.  The child answers each request with exactly one
+line on standard output, a decimal number, in request order.
 
 One client owns one child process and must not be shared by concurrent
 writers; run one client per worker instead.
@@ -19,7 +19,7 @@ import re
 import subprocess
 import sys
 import threading
-from typing import Callable, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Callable, NamedTuple, Sequence, TextIO
 
 from .errors import (
     BridgeCrashError,
@@ -109,7 +109,9 @@ class BridgeClient:
     can time out without blocking forever on a pipe.  After a timeout or a
     protocol error the child is killed and respawned with a fresh queue
     before the error is raised, so a late reply can never be taken as the
-    answer to a later request.
+    answer to a later request.  A reply line that is waiting before a batch
+    is written, or left over when the child exits, answers no request and
+    is a protocol error too.
     """
 
     def __init__(self, config: BridgeConfig):
@@ -121,31 +123,38 @@ class BridgeClient:
     def _spawn(self) -> None:
         try:
             self._proc = subprocess.Popen(
-                list(self.config.command),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                encoding="utf-8",
-                bufsize=1,
+                list(self.config.command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
             )
         except OSError as exc:
             raise BridgeCrashError(
                 f"cannot spawn scorer {self.config.command[0]!r}: {exc}"
             ) from exc
         self._lines = queue.Queue()
-        thread = threading.Thread(
+        self._reader = threading.Thread(
             target=self._drain, args=(self._proc.stdout, self._lines), daemon=True
         )
-        thread.start()
+        self._reader.start()
 
     @staticmethod
-    def _drain(stream: TextIO, sink: queue.Queue) -> None:
+    def _drain(stream: BinaryIO, sink: queue.Queue) -> None:
         with stream:
             for line in stream:
                 sink.put(line)
         sink.put(_EOF)
 
+    def _reject_waiting_reply(self, where: str) -> None:
+        """Raise ProtocolError if a reply line is queued that no request asked for."""
+        try:
+            item = self._lines.get_nowait()
+        except queue.Empty:
+            return
+        if item is _EOF:  # always the last item; the read that meets it reports the crash
+            self._lines.put(_EOF)
+            return
+        raise ProtocolError(f"scorer sent an unrequested reply {where}: {item.rstrip()!r}")
+
     def close(self) -> None:
+        """Stop the child; a reply still left once its output is drained is a ProtocolError."""
         proc = self._proc
         if proc is None:
             return
@@ -157,6 +166,8 @@ class BridgeClient:
         except (OSError, subprocess.TimeoutExpired):
             proc.kill()
             proc.wait()
+        self._reader.join(timeout=5)
+        self._reject_waiting_reply("after the last request")
 
     def _respawn(self) -> None:
         proc = self._proc
@@ -218,33 +229,37 @@ class BridgeClient:
     ) -> None:
         proc = self._proc
         assert proc is not None and proc.stdin is not None
+        batch = "".join(req.encode() + "\n" for req in requests) + "\n"
         try:
-            for req in requests:
-                proc.stdin.write(req.encode() + "\n")
-            proc.stdin.write("\n")
+            data = batch.encode("utf-8")
+        except UnicodeEncodeError as exc:  # an escaped request holds no raw newline
+            index = first_index + batch.count("\n", 0, exc.start)
+            raise DataError(f"request {index} is not valid UTF-8: {exc.reason}") from None
+        self._reject_waiting_reply(f"before request {first_index}")
+        try:
+            proc.stdin.write(data)
             proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise BridgeCrashError(f"scorer pipe closed while writing: {exc}") from exc
-        for offset in range(len(requests)):
+        for index in range(first_index, first_index + len(requests)):
             try:
                 item = self._lines.get(timeout=self.config.timeout)
             except queue.Empty:
                 raise BridgeTimeoutError(
-                    f"scorer gave no reply for request {first_index + offset} "
+                    f"scorer gave no reply for request {index} "
                     f"within {self.config.timeout}s"
                 ) from None
             if item is _EOF:
                 raise BridgeCrashError("scorer closed its output mid-batch")
-            line = item.rstrip("\n")
             try:
-                value = float(line)
+                value = float(item)
             except ValueError:
                 raise ProtocolError(
-                    f"scorer reply is not a number: {line!r}"
+                    f"scorer reply for request {index} is not a number: {item.rstrip()!r}"
                 ) from None
             if not math.isfinite(value):
                 raise ProtocolError(
-                    f"scorer reply for request {first_index + offset} is not finite: {line!r}"
+                    f"scorer reply for request {index} is not finite: {item.rstrip()!r}"
                 )
             sink.append(value)
 

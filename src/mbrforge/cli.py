@@ -365,6 +365,7 @@ def cmd_build_st(args: argparse.Namespace) -> int:
 
     sources = read_segments(args.src)
     translations = read_segments(args.mt)
+    require_aligned({args.src: len(sources), args.mt: len(translations)})
     corpus = selftrain.build_st_corpus(sources, translations, _filter_config(args))
     selftrain.write_corpus(corpus, args.out_prefix, write_meta=args.write_meta)
     _info(args, f"kept {len(corpus)} of {len(sources)} pairs")
@@ -376,6 +377,7 @@ def cmd_build_bt(args: argparse.Namespace) -> int:
 
     targets = read_segments(args.tgt)
     back = read_segments(args.bt)
+    require_aligned({args.tgt: len(targets), args.bt: len(back)})
     corpus = selftrain.build_bt_corpus(targets, back, tag=args.tag, config=_filter_config(args))
     selftrain.write_corpus(corpus, args.out_prefix, write_meta=args.write_meta)
     _info(args, f"kept {len(corpus)} of {len(targets)} pairs")

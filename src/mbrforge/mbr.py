@@ -39,10 +39,7 @@ class CandidateSet(ValidatedRecord, _CandidateSet):
     __slots__ = ()
 
     def _check(self) -> None:
-        if len(self.candidates) != len(self.sources):
-            raise DataError(
-                f"{len(self.sources)} sources but {len(self.candidates)} candidate rows"
-            )
+        require_aligned({"sources": len(self.sources), "candidates": len(self.candidates)})
         n = len(self.systems)
         for i, row in enumerate(self.candidates):
             if len(row) != n:
@@ -301,13 +298,14 @@ def segment_matrices(
 
     import queue
     from concurrent import futures
+    from contextlib import ExitStack
 
-    scorers: list[BatchScorer] = []
     idle: queue.SimpleQueue[BatchScorer] = queue.SimpleQueue()
-    try:
+    with ExitStack() as scorers:  # closes every scorer, even when one close raises
         for _ in range(threads):
-            scorers.append(factory())
-            idle.put(scorers[-1])
+            scorer = factory()
+            scorers.callback(close_scorer, scorer)
+            idle.put(scorer)
 
         def run(index: int) -> UtilityMatrix:
             scorer = idle.get()
@@ -318,9 +316,6 @@ def segment_matrices(
 
         with futures.ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run, range(cset.num_segments)))
-    finally:
-        for scorer in scorers:
-            close_scorer(scorer)
 
 
 def selection_from_matrices(

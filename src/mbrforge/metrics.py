@@ -40,7 +40,8 @@ from collections import Counter
 from functools import reduce
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .errors import AlignmentError, ValidatedRecord
+from .errors import ValidatedRecord
+from .textio import require_aligned
 
 TokenSequence = list[str]
 NgramCounts = tuple[Counter, ...]  # index k holds the (k+1)-gram counts
@@ -156,10 +157,7 @@ def corpus_stats(
     hyps: Sequence, refs: Sequence, pair_stats: Callable[[Any, Any], NgramStats]
 ) -> NgramStats:
     """Statistics of aligned segment pairs, summed per order (micro-averaging)."""
-    if len(hyps) != len(refs):
-        raise AlignmentError(
-            f"inputs are not aligned ({len(hyps)} hypotheses, {len(refs)} references)"
-        )
+    require_aligned({"hyps": len(hyps), "refs": len(refs)})
     if not hyps:
         raise ValueError("corpus must contain at least one segment")
     per_segment = [pair_stats(hyp, ref) for hyp, ref in zip(hyps, refs)]

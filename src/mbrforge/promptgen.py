@@ -157,7 +157,8 @@ def render_fewshot(
 class ParsedPrompt(NamedTuple):
     """Fields recovered from a rendered prompt."""
 
-    history: tuple[tuple[str, str, str, str | None], ...]  # (src_lang, source, mt, ref)
+    # One (src_lang, tgt_lang, source, mt, reference) per line, ChatTurn's field order.
+    history: tuple[tuple[str, str, str, str, str | None], ...]
     instruction_lang: str
     query_src_lang: str
     query_tgt_lang: str
@@ -206,7 +207,7 @@ def _parse(
     history = []
     for line in lines[:pos]:
         turn = _fields(line_template, line, line_name)
-        history.append((turn["src_lang"], turn["source"], turn["mt"], turn.get("reference")))
+        history.append(tuple(map(turn.get, _ChatTurn._fields[1:])))  # all but speaker
     query = _fields(query_template, lines[-1], query_name)
     return ParsedPrompt(
         history=tuple(history),

@@ -15,8 +15,8 @@ import random
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import AlignmentError, DataError, ValidatedRecord
-from .textio import read_segments, write_segments
+from .errors import DataError, ValidatedRecord
+from .textio import read_segments, require_aligned, write_segments
 
 PROVENANCE_TAGS = ("genuine", "self-train", "back-translate")
 
@@ -54,8 +54,7 @@ class ParallelCorpus:
     def __init__(
         self, pairs: tuple[tuple[str, str], ...], provenance: tuple[str, ...]
     ) -> None:
-        if len(pairs) != len(provenance):
-            raise DataError("every pair needs exactly one provenance tag")
+        require_aligned({"pairs": len(pairs), "provenance": len(provenance)})
         for tag in provenance:
             if tag not in PROVENANCE_TAGS:
                 raise DataError(f"unknown provenance tag: {tag!r}")
@@ -131,11 +130,7 @@ def build_st_corpus(
     Feeding the chosen lines of an MbrSelection as ``translations`` turns
     the selection winners into distillation data.
     """
-    if len(sources) != len(translations):
-        raise AlignmentError(
-            f"inputs are not aligned ({len(sources)} sources, "
-            f"{len(translations)} translations)"
-        )
+    require_aligned({"sources": len(sources), "translations": len(translations)})
     pairs = apply_filter(zip(sources, translations), config)
     return ParallelCorpus(tuple(pairs), ("self-train",) * len(pairs))
 
@@ -152,11 +147,7 @@ def build_bt_corpus(
     prepended afterwards, so it never influences length rules and is
     stripped cleanly by removing the first token.
     """
-    if len(targets) != len(back_translations):
-        raise AlignmentError(
-            f"inputs are not aligned ({len(targets)} targets, "
-            f"{len(back_translations)} back-translations)"
-        )
+    require_aligned({"targets": len(targets), "back_translations": len(back_translations)})
     if tag is not None and (tag == "" or any(ch.isspace() for ch in tag)):
         raise DataError(f"tag must be a single non-empty token, got {tag!r}")
     pairs = apply_filter(zip(back_translations, targets), config)
@@ -211,22 +202,10 @@ def write_corpus(
 
 def read_corpus(prefix: str | Path) -> ParallelCorpus:
     """Read a corpus written by write_corpus; missing .meta means all "genuine"."""
-    prefix = Path(prefix)
-    src_path, tgt_path, meta_path = _corpus_files(prefix)
-    sources = read_segments(src_path)
-    targets = read_segments(tgt_path)
-    if len(sources) != len(targets):
-        raise AlignmentError(
-            f"corpus {prefix} is not aligned ({len(sources)} source lines, "
-            f"{len(targets)} target lines)"
-        )
-    if meta_path.exists():
-        provenance = read_segments(meta_path)
-        if len(provenance) != len(sources):
-            raise AlignmentError(
-                f"corpus {prefix} meta is not aligned ({len(provenance)} tags, "
-                f"{len(sources)} pairs)"
-            )
-    else:
-        provenance = ["genuine"] * len(sources)
+    src_path, tgt_path, meta_path = _corpus_files(Path(prefix))
+    files = [src_path, tgt_path] + ([meta_path] if meta_path.exists() else [])
+    columns = [read_segments(path) for path in files]
+    require_aligned({str(path): len(lines) for path, lines in zip(files, columns)})
+    sources, targets, *meta = columns
+    provenance = meta[0] if meta else ["genuine"] * len(sources)
     return ParallelCorpus(tuple(zip(sources, targets)), tuple(provenance))

@@ -10,7 +10,7 @@ import os
 import sys
 import time
 
-from mbrforge.bridge import run_scorer_loop
+from mbrforge.bridge import decode_request, run_scorer_loop
 from mbrforge.metrics import sentence_chrf
 
 
@@ -60,6 +60,24 @@ def main() -> None:
                 continue
             sys.stdout.write("not-a-number\n")
             sys.stdout.flush()
+    elif mode == "bad-bytes":
+        # Every reply starts with bytes that are not UTF-8.
+        for line in sys.stdin:
+            if line.rstrip("\n") == "":
+                continue
+            sys.stdout.buffer.write(b"\xff\xfe1.0\n")
+            sys.stdout.buffer.flush()
+    elif mode == "extra-reply":
+        # Answer with the length of the mt field, the first request twice
+        # in one write.
+        copies = 2
+        for line in sys.stdin:
+            if line.rstrip("\n") == "":
+                continue
+            value = float(len(decode_request(line.rstrip("\n")).mt))
+            sys.stdout.write(f"{value!r}\n" * copies)
+            sys.stdout.flush()
+            copies = 1
     elif mode == "exit-now":
         sys.exit(1)
     elif mode == "slow":

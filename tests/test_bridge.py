@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -207,3 +208,54 @@ class TestMisbehaviour:
             with pytest.raises(error):
                 client.score(first_call)
             assert client.score([ScoreRequest("0", "2", "r")]) == [2.0]
+
+
+class TestRepliesAsBytes:
+    """A reply that is not UTF-8, or that answers no request, fails at once."""
+
+    def test_undecodable_reply_is_protocol_error(self):
+        config = double_config("bad-bytes", timeout=30.0)
+        with BridgeClient(config) as client:
+            start = time.monotonic()
+            with pytest.raises(ProtocolError, match=r"request 0 is not a number: b'\\xff"):
+                client.score([ScoreRequest("s", "m", "r")])
+            assert time.monotonic() - start < 5.0
+
+    @pytest.mark.parametrize(
+        "batch_size, where",
+        # With batches of 2 the surplus reply is normally waiting when the
+        # second batch is about to be written (if the reader thread is late,
+        # close finds it); with one batch it is always left for close.
+        [(2, "unrequested reply"), (8, "unrequested reply after the last request")],
+        ids=["next-batch", "close"],
+    )
+    def test_unrequested_reply_is_protocol_error(self, batch_size, where):
+        requests = [ScoreRequest("s", "x" * (i + 1), "r") for i in range(6)]
+        config = double_config("extra-reply", batch_size=batch_size, timeout=30.0)
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match=where):
+            with BridgeClient(config) as client:
+                client.score(requests)
+        assert time.monotonic() - start < 5.0
+
+    def test_end_of_stream_survives_the_pre_batch_check(self):
+        # The child closes its output but keeps reading; the end-of-stream
+        # marker is queued before the batch, and the read after the write
+        # must still see it rather than wait out the timeout.
+        code = "import os, sys; os.close(1); sys.stdin.read()"
+        config = BridgeConfig(
+            command=(sys.executable, "-c", code), timeout=30.0, restart_on_failure=False
+        )
+        with BridgeClient(config) as client:
+            client._reader.join(timeout=5.0)
+            assert not client._reader.is_alive()
+            start = time.monotonic()
+            with pytest.raises(BridgeCrashError):
+                client.score([ScoreRequest("s", "m", "r")])
+            assert time.monotonic() - start < 5.0
+
+    def test_unencodable_field_is_data_error(self):
+        with BridgeClient(double_config("constant", "0.5")) as client:
+            with pytest.raises(DataError, match="request 1 is not valid UTF-8"):
+                client.score([ScoreRequest("s", "m", "r"), ScoreRequest("s", "\ud800", "r")])
+            assert client.score([ScoreRequest("s", "m", "r")]) == [0.5]

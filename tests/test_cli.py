@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,51 @@ class TestMbrCommand:
         )
         assert rc == 4
         assert "bridge error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["bad-bytes", "extra-reply"])
+    def test_misbehaving_scorer_fails_fast(self, tmp_path, cand_files, mode):
+        # Run as a child process, so that a traceback printed by any thread
+        # would show on its stderr.
+        src, a, b, c = cand_files
+        out, matrix = tmp_path / "out.txt", tmp_path / "matrix.tsv"
+        argv = ["mbr", "--src", str(src), "--cand", str(a), "--cand", str(b),
+                "--cand", str(c), "--utility", "external", "--bridge-timeout", "30",
+                "--external-cmd", f"{sys.executable} {DOUBLES} {mode}",
+                "--out", str(out), "--matrix-out", str(matrix)]
+        start = time.monotonic()
+        result = subprocess.run(
+            [sys.executable, "-m", "mbrforge.cli", *argv], capture_output=True, text=True
+        )
+        assert time.monotonic() - start < 5.0
+        assert result.returncode == 4
+        assert result.stderr.startswith("mbrforge: bridge error: ")
+        assert result.stderr.count("\n") == 1
+        assert not out.exists() and not matrix.exists()
+
+    @pytest.mark.parametrize("metric", ["chrf", "bleu"])
+    def test_reference_scorer_matches_native(self, tmp_path, metric):
+        # Punctuation and repeated words, so tokenizing and clipping matter.
+        src = write_lines(tmp_path / "src.txt", ["s1", "s2", "s3"])
+        cands = [
+            write_lines(tmp_path / f"c{k}.txt", lines)
+            for k, lines in enumerate([
+                ["the cat sat, then left.", "x y", "Hello, world!"],
+                ["the cat sat then left", "y y y", "hello world"],
+                ["a cat, a cat.", "x y", "Hello world!!"],
+            ])
+        ]
+        outputs = {}
+        for utility, extra in (
+            (metric, []),
+            ("external", ["--external-cmd",
+                          f"{sys.executable} {SCRIPTS / 'chrf_scorer.py'} --metric {metric}"]),
+        ):
+            matrix = tmp_path / f"{utility}.tsv"
+            rc, out = run_mbr(tmp_path, src, cands, "--utility", utility,
+                              "--matrix-out", str(matrix), *extra)
+            assert rc == EXIT_OK
+            outputs[utility] = (out.read_bytes(), matrix.read_bytes())
+        assert outputs["external"] == outputs[metric]
 
 
 class TestEvalCommand:

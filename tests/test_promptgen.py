@@ -123,6 +123,7 @@ class TestStream:
         assert len(parsed.history) == 3
         assert parsed.history[1] == (
             "English",
+            "German",
             "It is 4711.",
             "Es ist 4711.",
             "Sie lautet 4711.",
@@ -159,7 +160,7 @@ class TestContext:
         assert parsed.query_source == "It is 4711."
         assert parsed.query_mt is None
         assert len(parsed.history) == 5
-        assert parsed.history[0][1] == "Hello, I need help with my order."
+        assert parsed.history[0][2] == "Hello, I need help with my order."
 
 
 class TestFewshot:
@@ -248,8 +249,7 @@ class TestParsers:
         parsed = parse_stream(render_stream(doc, index, k_history=len(history_fields)).text)
         assert parsed.query_source == query_source
         assert parsed.query_mt == query_mt
-        assert [h[1] for h in parsed.history] == [src for src, _mt, _ref in history_fields]
-        assert [h[2] for h in parsed.history] == [mt for _src, mt, _ref in history_fields]
+        assert parsed.history == tuple(tuple(turn)[1:] for turn in turns[:-1])
 
     @given(
         st.lists(st.tuples(field_st, field_st), min_size=1, max_size=5),
@@ -269,7 +269,7 @@ class TestParsers:
         text = render_context(doc, index, before, after, include_query_context=own_line).text
         parsed = parse_context(text)
         window = [
-            (turn.src_lang, turn.source, turn.mt, None)
+            (turn.src_lang, turn.tgt_lang, turn.source, turn.mt, None)
             for pos, turn in enumerate(turns)
             if index - before <= pos <= index + after and (own_line or pos != index)
         ]

@@ -31,7 +31,7 @@ class TestSelfTrain:
         assert corpus.provenance == ("self-train",)
 
     def test_misaligned_inputs(self):
-        with pytest.raises(AlignmentError, match="2 sources, 1 translations"):
+        with pytest.raises(AlignmentError, match="sources: 2 lines, translations: 1 lines"):
             build_st_corpus(["a", "b"], ["x"])
 
 
@@ -58,7 +58,7 @@ class TestBackTranslate:
         assert corpus.pairs == (("<BT> a b c", "ziel"),)
 
     def test_misaligned_inputs(self):
-        with pytest.raises(AlignmentError, match="1 targets, 2 back-translations"):
+        with pytest.raises(AlignmentError, match="targets: 1 lines, back_translations: 2 lines"):
             build_bt_corpus(["a"], ["x", "y"])
 
 
