@@ -2,7 +2,8 @@
 """Reference external scorer for the bridge protocol.
 
 Reads tab-separated (source, hypothesis, reference) requests on stdin
-and answers one score per line.  Plug it into selection with:
+and answers one score per line, and each blank line that ends a batch with
+a blank line; both directions are UTF-8.  Plug it into selection with:
 
     mbrforge mbr --utility external \
         --external-cmd "python3 scripts/chrf_scorer.py" ...

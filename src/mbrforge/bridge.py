@@ -4,8 +4,8 @@ Wire protocol, chosen for trivial scorer-side implementation: every
 request is one line on the child's standard input with the fields
 ``src``, ``mt``, ``ref`` separated by a single TAB; tabs, newlines and
 backslashes inside fields are escaped as ``\\t``, ``\\n``, ``\\\\``.  A blank
-line flushes a batch.  The child answers each request with exactly one
-line on standard output, a decimal number, in request order.
+line ends a batch.  The child answers on standard output with one decimal
+number line per request, in request order, then a blank line.  All is UTF-8.
 
 One client owns one child process and must not be shared by concurrent
 writers; run one client per worker instead.
@@ -19,7 +19,7 @@ import re
 import subprocess
 import sys
 import threading
-from typing import BinaryIO, Callable, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Callable, NamedTuple, Sequence
 
 from .errors import (
     BridgeCrashError,
@@ -32,6 +32,12 @@ from .errors import (
 MAX_BATCH_SIZE = 4096
 
 _EOF = object()
+
+_NO_REPLY = "scorer gave no reply for request {} within {}s"
+_NO_BATCH_END = (
+    "scorer did not end the batch after request {} within {}s; "
+    "a scorer must answer each blank line with a blank line"
+)
 
 # Each special character and its escape; the backslash comes first so that
 # escape_field never escapes an escape it has just written.
@@ -109,15 +115,14 @@ class BridgeClient:
     can time out without blocking forever on a pipe.  After a timeout or a
     protocol error the child is killed and respawned with a fresh queue
     before the error is raised, so a late reply can never be taken as the
-    answer to a later request.  A reply line that is waiting before a batch
-    is written, or left over when the child exits, answers no request and
-    is a protocol error too.
+    answer to a later request.  A batch's replies must be followed by a
+    blank line, so a surplus reply is a protocol error before ``score``
+    returns; one written after the last batch is found by ``close``.
     """
 
     def __init__(self, config: BridgeConfig):
         self.config = config
         self._proc: subprocess.Popen | None = None
-        self._lines: queue.Queue = queue.Queue()
         self._spawn()
 
     def _spawn(self) -> None:
@@ -142,17 +147,6 @@ class BridgeClient:
                 sink.put(line)
         sink.put(_EOF)
 
-    def _reject_waiting_reply(self, where: str) -> None:
-        """Raise ProtocolError if a reply line is queued that no request asked for."""
-        try:
-            item = self._lines.get_nowait()
-        except queue.Empty:
-            return
-        if item is _EOF:  # always the last item; the read that meets it reports the crash
-            self._lines.put(_EOF)
-            return
-        raise ProtocolError(f"scorer sent an unrequested reply {where}: {item.rstrip()!r}")
-
     def close(self) -> None:
         """Stop the child; a reply still left once its output is drained is a ProtocolError."""
         proc = self._proc
@@ -167,7 +161,11 @@ class BridgeClient:
             proc.kill()
             proc.wait()
         self._reader.join(timeout=5)
-        self._reject_waiting_reply("after the last request")
+        item = _EOF if self._lines.empty() else self._lines.get()
+        if item is not _EOF:
+            raise ProtocolError(
+                f"scorer sent an unrequested reply after the last request: {item.rstrip()!r}"
+            )
 
     def _respawn(self) -> None:
         proc = self._proc
@@ -235,22 +233,13 @@ class BridgeClient:
         except UnicodeEncodeError as exc:  # an escaped request holds no raw newline
             index = first_index + batch.count("\n", 0, exc.start)
             raise DataError(f"request {index} is not valid UTF-8: {exc.reason}") from None
-        self._reject_waiting_reply(f"before request {first_index}")
         try:
             proc.stdin.write(data)
             proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise BridgeCrashError(f"scorer pipe closed while writing: {exc}") from exc
         for index in range(first_index, first_index + len(requests)):
-            try:
-                item = self._lines.get(timeout=self.config.timeout)
-            except queue.Empty:
-                raise BridgeTimeoutError(
-                    f"scorer gave no reply for request {index} "
-                    f"within {self.config.timeout}s"
-                ) from None
-            if item is _EOF:
-                raise BridgeCrashError("scorer closed its output mid-batch")
+            item = self._next_line(_NO_REPLY, index)
             try:
                 value = float(item)
             except ValueError:
@@ -262,25 +251,40 @@ class BridgeClient:
                     f"scorer reply for request {index} is not finite: {item.rstrip()!r}"
                 )
             sink.append(value)
+        last = first_index + len(requests) - 1
+        item = self._next_line(_NO_BATCH_END, last)
+        if item.strip():
+            raise ProtocolError(
+                f"scorer sent an unrequested reply after request {last}: {item.rstrip()!r}"
+            )
+
+    def _next_line(self, timeout_message: str, index: int) -> bytes:
+        try:
+            item = self._lines.get(timeout=self.config.timeout)
+        except queue.Empty:
+            raise BridgeTimeoutError(timeout_message.format(index, self.config.timeout)) from None
+        if item is _EOF:
+            raise BridgeCrashError("scorer closed its output mid-batch")
+        return item
 
 
 def run_scorer_loop(
     score_fn: Callable[[ScoreRequest], float],
-    stdin: TextIO | None = None,
-    stdout: TextIO | None = None,
+    stdin: BinaryIO | None = None,
+    stdout: BinaryIO | None = None,
 ) -> None:
     """Serve the wire protocol; for scorer scripts and test doubles.
 
-    Reads request lines until EOF, ignores blank flush lines, answers each
-    request with ``score_fn(request)`` formatted with repr precision.
+    Reads UTF-8 request lines until EOF and answers each request with
+    ``score_fn(request)`` formatted with repr precision, and each blank
+    line with a blank line.  Every line written is flushed at once.
     """
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
+    stdin = stdin if stdin is not None else sys.stdin.buffer
+    stdout = stdout if stdout is not None else sys.stdout.buffer
     for line in stdin:
-        line = line.rstrip("\n")
-        if line == "":
-            stdout.flush()
-            continue
-        request = decode_request(line)
-        stdout.write(f"{score_fn(request)!r}\n")
+        line = line.rstrip(b"\n")
+        if line:
+            request = decode_request(line.decode("utf-8"))
+            line = f"{score_fn(request)!r}".encode()
+        stdout.write(line + b"\n")
         stdout.flush()

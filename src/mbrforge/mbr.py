@@ -9,6 +9,7 @@ BLEU/chrF metrics or an external scorer reached through the bridge.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
@@ -288,32 +289,23 @@ def segment_matrices(
         except MbrforgeError as exc:
             raise type(exc)(f"segment {index}: {exc}") from exc
 
-    threads = min(workers, cset.num_segments) if spec.kind == "external" else 1
-    if threads <= 1:
-        scorer = factory()
-        try:
-            return [compute(i, scorer) for i in range(cset.num_segments)]
-        finally:
-            close_scorer(scorer)
-
-    import queue
-    from concurrent import futures
-    from contextlib import ExitStack
-
-    idle: queue.SimpleQueue[BatchScorer] = queue.SimpleQueue()
+    threads = min(workers if spec.kind == "external" else 1, cset.num_segments)
     with ExitStack() as scorers:  # closes every scorer, even when one close raises
+        idle: list[BatchScorer] = []  # at most `threads` segments run at once
         for _ in range(threads):
-            scorer = factory()
-            scorers.callback(close_scorer, scorer)
-            idle.put(scorer)
+            idle.append(factory())
+            scorers.callback(close_scorer, idle[-1])
 
         def run(index: int) -> UtilityMatrix:
-            scorer = idle.get()
+            scorer = idle.pop()
             try:
                 return compute(index, scorer)
             finally:
-                idle.put(scorer)
+                idle.append(scorer)
 
+        if threads <= 1:
+            return list(map(run, range(cset.num_segments)))
+        from concurrent import futures
         with futures.ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run, range(cset.num_segments)))
 

@@ -67,17 +67,32 @@ def main() -> None:
                 continue
             sys.stdout.buffer.write(b"\xff\xfe1.0\n")
             sys.stdout.buffer.flush()
-    elif mode == "extra-reply":
-        # Answer with the length of the mt field, the first request twice
-        # in one write.
-        copies = 2
+    elif mode in ("extra-reply", "late-extra-reply"):
+        # Answer with the length of the mt field, and the first request a
+        # second time: in the same write as its reply (extra-reply), or
+        # after the first batch's closing blank line (late-extra-reply).
+        repeat, held = True, ""
         for line in sys.stdin:
-            if line.rstrip("\n") == "":
-                continue
-            value = float(len(decode_request(line.rstrip("\n")).mt))
-            sys.stdout.write(f"{value!r}\n" * copies)
+            line = line.rstrip("\n")
+            if line:
+                reply = f"{float(len(decode_request(line).mt))!r}\n"
+                if repeat and mode == "extra-reply":
+                    reply *= 2
+                elif repeat:
+                    held = reply
+                repeat = False
+            else:
+                reply, held = "\n" + held, ""
+            sys.stdout.write(reply)
             sys.stdout.flush()
-            copies = 1
+    elif mode == "no-batch-end":
+        # Echo the mt number for every request but never answer a blank
+        # line, as scorers written before batches ended with one did.
+        for line in sys.stdin:
+            line = line.rstrip("\n")
+            if line:
+                sys.stdout.write(f"{float(decode_request(line).mt)!r}\n")
+                sys.stdout.flush()
     elif mode == "exit-now":
         sys.exit(1)
     elif mode == "slow":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import runpy
 import sys
 import time
 from pathlib import Path
@@ -27,8 +28,13 @@ from mbrforge.errors import (
     DataError,
     ProtocolError,
 )
+from mbrforge.mbr import UtilitySpec, make_scorer
 
 DOUBLES = str(Path(__file__).parent / "doubles.py")
+REPO = Path(__file__).parent.parent
+CHRF_SCORER = str(REPO / "scripts" / "chrf_scorer.py")
+PERFBENCH_SCORER = str(REPO / "perfbench" / "scorer.py")
+PERFBENCH_UTILITY = runpy.run_path(PERFBENCH_SCORER)["utility"]
 
 
 def double_config(mode: str, *args: str, **kwargs) -> BridgeConfig:
@@ -99,13 +105,58 @@ class TestConfigValidation:
                 BridgeConfig(command=("x",), timeout=timeout)
 
 
+def encode_batch(requests: list[ScoreRequest]) -> bytes:
+    return ("".join(r.encode() + "\n" for r in requests) + "\n").encode("utf-8")
+
+
 class TestScorerLoop:
     def test_serves_protocol_in_process(self):
-        requests = [ScoreRequest("s", f"{i}", "r") for i in range(3)]
-        stdin = io.StringIO("".join(r.encode() + "\n" for r in requests) + "\n")
-        stdout = io.StringIO()
+        # Two batches: each batch's replies are followed by one blank line.
+        requests = [ScoreRequest("s", f"{i}", "r") for i in range(5)]
+        stdin = io.BytesIO(encode_batch(requests[:3]) + encode_batch(requests[3:]))
+        stdout = io.BytesIO()
         run_scorer_loop(lambda req: float(req.mt) * 2.0, stdin=stdin, stdout=stdout)
-        assert stdout.getvalue() == "0.0\n2.0\n4.0\n"
+        assert stdout.getvalue() == b"0.0\n2.0\n4.0\n\n6.0\n8.0\n\n"
+
+    def test_requests_are_utf8(self):
+        requests = [ScoreRequest("s", mt, "r") for mt in ("Grüße", "\r€\u2028")]
+        stdout = io.BytesIO()
+        run_scorer_loop(
+            lambda req: float(len(req.mt)), io.BytesIO(encode_batch(requests)), stdout
+        )
+        assert stdout.getvalue() == b"5.0\n3.0\n\n"
+
+
+class TestRepoScorers:
+    """Every scorer in the repo ends each batch's replies with a blank line."""
+
+    SCORERS = {  # id: (script and arguments, expected scores of a request list)
+        "chrf_scorer-chrf": (
+            [CHRF_SCORER, "--metric", "chrf"], make_scorer(UtilitySpec(kind="native-chrf"))
+        ),
+        "chrf_scorer-bleu": (
+            [CHRF_SCORER, "--metric", "bleu"], make_scorer(UtilitySpec(kind="native-bleu"))
+        ),
+        "perfbench": (
+            [PERFBENCH_SCORER],
+            lambda requests: [PERFBENCH_UTILITY(req.mt, req.ref) for req in requests],
+        ),
+        "echo-mt": ([DOUBLES, "echo-mt"], lambda requests: [float(req.mt) for req in requests]),
+    }
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 7])
+    @pytest.mark.parametrize("scorer", sorted(SCORERS))
+    def test_scores_seven_requests(self, scorer, batch_size):
+        argv, expected = self.SCORERS[scorer]
+        # Numeric mt fields for echo-mt, and refs that differ, so scores do.
+        requests = [ScoreRequest("s", f"{i}{i}", f"{i}{i}, {i}" + " x" * i) for i in range(7)]
+        config = BridgeConfig(
+            command=(sys.executable, *argv), batch_size=batch_size, timeout=10.0
+        )
+        with BridgeClient(config) as client:
+            got = client.score(requests)
+        assert got == expected(requests)
+        assert len(set(got)) > 1
 
 
 class TestClient:
@@ -211,7 +262,7 @@ class TestMisbehaviour:
 
 
 class TestRepliesAsBytes:
-    """A reply that is not UTF-8, or that answers no request, fails at once."""
+    """A reply that is not UTF-8, answers no request, or never comes fails fast."""
 
     def test_undecodable_reply_is_protocol_error(self):
         config = double_config("bad-bytes", timeout=30.0)
@@ -221,27 +272,59 @@ class TestRepliesAsBytes:
                 client.score([ScoreRequest("s", "m", "r")])
             assert time.monotonic() - start < 5.0
 
+    @pytest.mark.parametrize("batch_size", [2, 8])
+    def test_surplus_reply_inside_a_batch_is_protocol_error(self, batch_size):
+        # The first request is answered twice, so the last reply of the
+        # first batch stands where its closing blank line belongs.
+        requests = [ScoreRequest("s", "x" * (i + 1), "r") for i in range(6)]
+        last = min(batch_size, len(requests))
+        config = double_config("extra-reply", batch_size=batch_size, timeout=30.0)
+        start = time.monotonic()
+        with BridgeClient(config) as client:
+            with pytest.raises(
+                ProtocolError,
+                match=f"unrequested reply after request {last - 1}: b'{float(last)}'",
+            ):
+                client.score(requests)
+        assert time.monotonic() - start < 5.0
+
     @pytest.mark.parametrize(
         "batch_size, where",
-        # With batches of 2 the surplus reply is normally waiting when the
-        # second batch is about to be written (if the reader thread is late,
-        # close finds it); with one batch it is always left for close.
-        [(2, "unrequested reply"), (8, "unrequested reply after the last request")],
+        # The surplus follows the first batch's closing blank line.  With
+        # batches of 2 the next batch reads it and fails; with one batch
+        # every score is right and close finds it.
+        [(2, "unrequested reply after request 1: b'4.0'"),
+         (8, "unrequested reply after the last request: b'1.0'")],
         ids=["next-batch", "close"],
     )
     def test_unrequested_reply_is_protocol_error(self, batch_size, where):
         requests = [ScoreRequest("s", "x" * (i + 1), "r") for i in range(6)]
-        config = double_config("extra-reply", batch_size=batch_size, timeout=30.0)
+        first, rest = requests[:batch_size], requests[batch_size:]
+        config = double_config("late-extra-reply", batch_size=batch_size, timeout=30.0)
         start = time.monotonic()
         with pytest.raises(ProtocolError, match=where):
             with BridgeClient(config) as client:
-                client.score(requests)
+                assert client.score(first) == [float(len(req.mt)) for req in first]
+                client.score(rest)
         assert time.monotonic() - start < 5.0
 
-    def test_end_of_stream_survives_the_pre_batch_check(self):
+    def test_missing_batch_end_is_timeout(self):
+        requests = [ScoreRequest("s", str(i), "r") for i in range(3)]
+        config = double_config("no-batch-end", timeout=1.0)
+        with BridgeClient(config) as client:
+            start = time.monotonic()
+            with pytest.raises(
+                BridgeTimeoutError,
+                match="did not end the batch after request 2 within 1.0s; "
+                "a scorer must answer each blank line with a blank line",
+            ):
+                client.score(requests)
+            assert time.monotonic() - start < 5.0
+
+    def test_closed_output_is_crash_without_waiting(self):
         # The child closes its output but keeps reading; the end-of-stream
-        # marker is queued before the batch, and the read after the write
-        # must still see it rather than wait out the timeout.
+        # marker is queued before the batch is written, and the first reply
+        # read must see it rather than wait out the timeout.
         code = "import os, sys; os.close(1); sys.stdin.read()"
         config = BridgeConfig(
             command=(sys.executable, "-c", code), timeout=30.0, restart_on_failure=False

@@ -177,30 +177,46 @@ class TestMbrCommand:
         assert result.stderr.count("\n") == 1
         assert not out.exists() and not matrix.exists()
 
-    @pytest.mark.parametrize("metric", ["chrf", "bleu"])
-    def test_reference_scorer_matches_native(self, tmp_path, metric):
-        # Punctuation and repeated words, so tokenizing and clipping matter.
-        src = write_lines(tmp_path / "src.txt", ["s1", "s2", "s3"])
-        cands = [
-            write_lines(tmp_path / f"c{k}.txt", lines)
-            for k, lines in enumerate([
-                ["the cat sat, then left.", "x y", "Hello, world!"],
-                ["the cat sat then left", "y y y", "hello world"],
-                ["a cat, a cat.", "x y", "Hello world!!"],
-            ])
-        ]
+    @staticmethod
+    def assert_scorer_matches_native(tmp_path, metric, columns, *extra) -> None:
+        """`scripts/chrf_scorer.py` gives the native utility's --out and --matrix-out bytes."""
+        src = write_lines(tmp_path / "src.txt", [f"s{i}" for i in range(len(columns[0]))])
+        cands = [write_lines(tmp_path / f"c{k}.txt", lines) for k, lines in enumerate(columns)]
+        scorer = f"{sys.executable} {SCRIPTS / 'chrf_scorer.py'} --metric {metric}"
         outputs = {}
-        for utility, extra in (
-            (metric, []),
-            ("external", ["--external-cmd",
-                          f"{sys.executable} {SCRIPTS / 'chrf_scorer.py'} --metric {metric}"]),
-        ):
+        for utility, args in ((metric, []), ("external", ["--external-cmd", scorer, *extra])):
             matrix = tmp_path / f"{utility}.tsv"
             rc, out = run_mbr(tmp_path, src, cands, "--utility", utility,
-                              "--matrix-out", str(matrix), *extra)
+                              "--matrix-out", str(matrix), *args)
             assert rc == EXIT_OK
             outputs[utility] = (out.read_bytes(), matrix.read_bytes())
         assert outputs["external"] == outputs[metric]
+
+    @pytest.mark.parametrize("metric", ["chrf", "bleu"])
+    def test_reference_scorer_matches_native(self, tmp_path, metric):
+        # Punctuation and repeated words, so tokenizing and clipping matter.
+        self.assert_scorer_matches_native(tmp_path, metric, [
+            ["the cat sat, then left.", "x y", "Hello, world!"],
+            ["the cat sat then left", "y y y", "hello world"],
+            ["a cat, a cat.", "x y", "Hello world!!"],
+        ])
+
+    @pytest.mark.parametrize("batch_size, workers", [(1, 1), (7, 2)])
+    def test_reference_scorer_reads_utf8_whatever_the_locale(
+        self, tmp_path, monkeypatch, batch_size, workers
+    ):
+        # The scorer child inherits the variable; it must not decode requests with it.
+        monkeypatch.setenv("PYTHONIOENCODING", "latin-1")
+        self.assert_scorer_matches_native(
+            tmp_path,
+            "chrf",
+            [
+                ["Grüße aus München", "naïve café"],
+                ["Grüße nach München", "naive cafe"],
+                ["Gruesse aus Muenchen", "naïve café, très"],
+            ],
+            "--bridge-batch-size", str(batch_size), "--workers", str(workers),
+        )
 
 
 class TestEvalCommand:
