@@ -3,9 +3,10 @@
 Wire protocol, chosen for trivial scorer-side implementation: every
 request is one line on the child's standard input with the fields
 ``src``, ``mt``, ``ref`` separated by a single TAB; tabs, newlines and
-backslashes inside fields are escaped as ``\\t``, ``\\n``, ``\\\\``.  A blank
-line ends a batch.  The child answers on standard output with one decimal
-number line per request, in request order, then a blank line.  All is UTF-8.
+backslashes inside fields are escaped as ``\\t``, ``\\n``, ``\\\\``.  Any field
+may be empty; a request still holds its two tabs, so only a blank line ends
+a batch.  The child answers on standard output with one decimal number line
+per request, in request order, then a blank line.  All is UTF-8.
 
 One client owns one child process and must not be shared by concurrent
 writers; run one client per worker instead.
@@ -58,18 +59,10 @@ def unescape_field(text: str) -> str:
     return re.sub(_ESCAPE_PATTERN, lambda match: _UNESCAPES[match[0]], text)
 
 
-class _ScoreRequest(NamedTuple):
+class ScoreRequest(NamedTuple):
     src: str
     mt: str
     ref: str
-
-
-class ScoreRequest(ValidatedRecord, _ScoreRequest):
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.mt == "":
-            raise DataError("score request with empty mt field")
 
     def encode(self) -> str:
         return "\t".join(

@@ -9,6 +9,7 @@ BLEU/chrF metrics or an external scorer reached through the bridge.
 
 from __future__ import annotations
 
+import math
 from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
@@ -79,11 +80,6 @@ class UtilitySpec(ValidatedRecord, _UtilitySpec):
             raise DataError(f"unknown utility kind: {self.kind!r}")
         if self.kind == "external" and self.bridge is None:
             raise DataError("external utility requires a bridge config")
-
-    @property
-    def uses_source(self) -> bool:
-        """Only external scorers are sent the source segment."""
-        return self.kind == "external"
 
 
 class UtilityMatrix(NamedTuple):
@@ -219,34 +215,32 @@ def utility_matrix(
     cset: CandidateSet,
     segment_index: int,
     spec: UtilitySpec,
-    scorer: BatchScorer | None = None,
+    scorer: BatchScorer,
 ) -> UtilityMatrix:
     """Score all candidate pairs of one segment and pick the best row.
 
-    Each distinct candidate string is scored once: the scorer sees the
-    d x d pairs of the d distinct strings (in first-occurrence order), and
-    the scores are expanded back into the full n x n grid.
+    Each distinct candidate string is scored once: ``scorer`` gets the
+    segment's source with each of the d x d pairs of the d distinct strings
+    (in first-occurrence order) and must return d * d finite scores, which
+    are expanded back into the full n x n grid.
     """
     if not 0 <= segment_index < cset.num_segments:
         raise DataError(
             f"segment index {segment_index} out of range 0..{cset.num_segments - 1}"
         )
     row = cset.candidates[segment_index]
-    src = cset.sources[segment_index] if spec.uses_source else ""
+    src = cset.sources[segment_index]
     n = len(row)
     slot: dict[str, int] = {}
     for text in row:
         slot.setdefault(text, len(slot))
     distinct = list(slot)
     d = len(distinct)
-    own_scorer = scorer is None
-    if own_scorer:
-        scorer = make_scorer(spec)
-    try:
-        scores = scorer([(src, mt, ref) for mt in distinct for ref in distinct])
-    finally:
-        if own_scorer:
-            close_scorer(scorer)
+    scores = scorer([(src, mt, ref) for mt in distinct for ref in distinct])
+    if len(scores) != d * d:
+        raise DataError(f"scorer returned {len(scores)} scores for {d * d} pairs")
+    if not all(map(math.isfinite, scores)):
+        raise DataError("scorer returned a score that is not a finite number")
     offsets = [slot[text] for text in row]
     grid = [[scores[i * d + j] for j in offsets] for i in offsets]
     means = []
@@ -273,22 +267,18 @@ def segment_matrices(
 ) -> list[UtilityMatrix]:
     """Utility matrices for every segment, in segment order.
 
-    Native utilities score every segment in the calling thread with one
-    scorer, whatever ``workers`` says: they are pure Python, so threads
-    would only contend for the interpreter lock.  An external utility runs
+    Every scorer comes from ``scorer_factory`` (default ``make_scorer(spec)``)
+    and is closed here.  Native utilities score every segment in the calling
+    thread with one scorer, whatever ``workers`` says: they are pure Python,
+    so threads would only contend for the interpreter lock.  An external utility runs
     ``min(workers, num_segments)`` threads, each holding one scorer (and
     hence one bridge process) while it scores a segment.  Results come back
     in segment order, so the output never depends on the schedule, and a
     failed segment cancels the segments that have not started.
     """
+    if workers < 1:
+        raise DataError(f"workers must be at least 1, got {workers}")
     factory = scorer_factory if scorer_factory is not None else (lambda: make_scorer(spec))
-
-    def compute(index: int, scorer: BatchScorer) -> UtilityMatrix:
-        try:
-            return utility_matrix(cset, index, spec, scorer=scorer)
-        except MbrforgeError as exc:
-            raise type(exc)(f"segment {index}: {exc}") from exc
-
     threads = min(workers if spec.kind == "external" else 1, cset.num_segments)
     with ExitStack() as scorers:  # closes every scorer, even when one close raises
         idle: list[BatchScorer] = []  # at most `threads` segments run at once
@@ -299,7 +289,9 @@ def segment_matrices(
         def run(index: int) -> UtilityMatrix:
             scorer = idle.pop()
             try:
-                return compute(index, scorer)
+                return utility_matrix(cset, index, spec, scorer)
+            except MbrforgeError as exc:
+                raise type(exc)(f"segment {index}: {exc}") from exc
             finally:
                 idle.append(scorer)
 

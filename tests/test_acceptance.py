@@ -25,7 +25,7 @@ from mbrforge.checkpoint import (
     rdrop_penalty,
 )
 from mbrforge.errors import BridgeCrashError, ProtocolError
-from mbrforge.mbr import CandidateSet, UtilitySpec, best_index, utility_matrix
+from mbrforge.mbr import CandidateSet, UtilitySpec, best_index, make_scorer, utility_matrix
 from mbrforge.metrics import sentence_bleu, sentence_chrf
 from mbrforge.promptgen import render_context, render_fewshot, render_stream
 from mbrforge.textio import read_segments
@@ -97,7 +97,7 @@ def test_c02_selection_matches_brute_force_oracle():
             candidates=(tuple(candidates),),
         )
         spec = UtilitySpec(kind="native-chrf", include_self=include_self)
-        matrix = utility_matrix(cset, 0, spec)
+        matrix = utility_matrix(cset, 0, spec, make_scorer(spec))
         want_best, want_means = oracle_mbr_row(
             candidates, oracle_chrf, include_self=include_self
         )

@@ -201,6 +201,18 @@ class TestMbrCommand:
             ["a cat, a cat.", "x y", "Hello world!!"],
         ])
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("metric", ["chrf", "bleu"])
+    def test_reference_scorer_matches_native_on_empty_candidates(
+        self, tmp_path, metric, workers
+    ):
+        # Model outputs hold empty lines; the last segment has no text at all.
+        self.assert_scorer_matches_native(tmp_path, metric, [
+            ["", "x y", "", "a b"],
+            ["the cat", "", "", "a b"],
+            ["the cat", "x y", "", ""],
+        ], "--workers", workers)
+
     @pytest.mark.parametrize("batch_size, workers", [(1, 1), (7, 2)])
     def test_reference_scorer_reads_utf8_whatever_the_locale(
         self, tmp_path, monkeypatch, batch_size, workers

@@ -165,7 +165,7 @@ class TestNativeUtilities:
     def test_segment_index_out_of_range(self):
         cset = single_segment("a", "b")
         with pytest.raises(DataError):
-            utility_matrix(cset, 1, UtilitySpec())
+            utility_matrix(cset, 1, UtilitySpec(), exact_match_factory())
 
 
 class TestSpecValidation:
@@ -176,10 +176,6 @@ class TestSpecValidation:
     def test_external_requires_bridge(self):
         with pytest.raises(DataError):
             UtilitySpec(kind="external")
-
-    def test_external_uses_source_by_default(self):
-        config = BridgeConfig(command=("true",))
-        assert UtilitySpec(kind="external", bridge=config).uses_source is True
 
     def test_candidate_grid_checked(self):
         with pytest.raises(DataError):
@@ -216,7 +212,7 @@ class TestOracleAgreement:
     def test_selection_matches_oracle(self, kind, candidates, include_self):
         cset = single_segment(*candidates)
         spec = UtilitySpec(kind=kind, include_self=include_self)
-        matrix = utility_matrix(cset, 0, spec)
+        matrix = utility_matrix(cset, 0, spec, make_scorer(spec))
         want_best, want_means = oracle_mbr_row(
             candidates, ORACLE_UTILITIES[kind], include_self=include_self
         )
@@ -264,7 +260,7 @@ class TestDistinctScoring:
             return kernel(a, b)
 
         monkeypatch.setattr(metrics, "_clipped_matches", counting)
-        matrix = utility_matrix(single_segment(*row), 0, spec)
+        matrix = utility_matrix(single_segment(*row), 0, spec, make_scorer(spec))
         assert len(calls) <= order * d * (d + 1) // 2
         assert [v for r in matrix.values for v in r] == every_pair
 
@@ -332,6 +328,47 @@ class TestWorkers:
         with pytest.raises(DataError, match="segment 0"):
             segment_matrices(cset, UtilitySpec(), scorer_factory=broken_factory)
 
+    @pytest.mark.parametrize("kind", ["native-chrf", "external"])
+    def test_every_utility_gets_the_segment_source(self, kind):
+        cset = numbered_segments(3)
+        spec = UtilitySpec(kind=kind, bridge=BridgeConfig(command=("unused",)))
+        sources = set()
+
+        def factory():
+            def score(triples):
+                sources.update(src for src, _mt, _ref in triples)
+                return [1.0] * len(triples)
+
+            return score
+
+        segment_matrices(cset, spec, workers=2, scorer_factory=factory)
+        assert sources == set(cset.sources)
+
+    @pytest.mark.parametrize("kind", ["native-chrf", "external"])
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected_before_any_scorer(self, kind, workers):
+        spec = UtilitySpec(kind=kind, bridge=BridgeConfig(command=("unused",)))
+        factory, counts = counting_factory(UtilitySpec())
+        with pytest.raises(DataError, match=f"workers must be at least 1, got {workers}"):
+            segment_matrices(numbered_segments(3), spec, workers=workers, scorer_factory=factory)
+        assert counts["created"] == 0
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            (lambda k: [float("nan")] * k, "returned a score that is not a finite number"),
+            (lambda k: [1.0] * (k - 1), "returned 8 scores for 9 pairs"),
+            (lambda k: [1.0] * (k + 1), "returned 10 scores for 9 pairs"),
+        ],
+        ids=["nan", "short", "long"],
+    )
+    def test_bad_scorer_reply_names_the_segment(self, reply, message):
+        def factory():
+            return lambda triples: reply(len(triples))
+
+        with pytest.raises(DataError, match=f"segment 0: scorer {message}$"):
+            segment_matrices(numbered_segments(2), UtilitySpec(), scorer_factory=factory)
+
     def test_native_scores_inline_with_one_scorer(self):
         cset = numbered_segments(7)
         spec = UtilitySpec(kind="native-chrf")
@@ -391,12 +428,6 @@ class TestExternalUtility:
         config = BridgeConfig(command=(sys.executable, DOUBLES, "chrf"), batch_size=4)
         external = mbr_decode(cset, UtilitySpec(kind="external", bridge=config))
         assert external == native
-
-    def test_empty_candidate_rejected(self):
-        cset = single_segment("ok", "")
-        config = BridgeConfig(command=(sys.executable, DOUBLES, "constant", "1.0"))
-        with pytest.raises(DataError, match="segment 0"):
-            mbr_decode(cset, UtilitySpec(kind="external", bridge=config))
 
 
 class TestMatrixDump:

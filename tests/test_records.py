@@ -57,7 +57,6 @@ BAD_CHANGES = [
     (MetricScore(50.0), {"value": 101.0}, ValueError),
     (CANDIDATES, {"systems": ("a",)}, DataError),
     (UtilitySpec(), {"kind": "bogus"}, DataError),
-    (ScoreRequest("s", "m", "r"), {"mt": ""}, DataError),
     (BridgeConfig(("scorer",)), {"batch_size": 0}, DataError),
     (FilterConfig(), {"max_length_ratio": float("nan")}, DataError),
     (TURN, {"speaker": "robot"}, DataError),
