@@ -15,11 +15,12 @@ writers; run one client per worker instead.
 from __future__ import annotations
 
 import math
-import queue
+import os
 import re
+import select
 import subprocess
 import sys
-import threading
+import time
 from typing import BinaryIO, Callable, NamedTuple, Sequence
 
 from .errors import (
@@ -31,8 +32,6 @@ from .errors import (
 )
 
 MAX_BATCH_SIZE = 4096
-
-_EOF = object()
 
 _NO_REPLY = "scorer gave no reply for request {} within {}s"
 _NO_BATCH_END = (
@@ -104,13 +103,14 @@ class BridgeConfig(ValidatedRecord, _BridgeConfig):
 class BridgeClient:
     """Owns one scorer process; replays unanswered requests after a crash.
 
-    A reader thread drains the child's stdout into a queue so reply waits
-    can time out without blocking forever on a pipe.  After a timeout or a
-    protocol error the child is killed and respawned with a fresh queue
+    Replies are read on the calling thread, each line waited for with
+    ``poll`` up to the configured timeout; the batch is written meanwhile,
+    so neither pipe can fill up and stall the other.  After a timeout or a
+    protocol error the child is killed and respawned with a fresh buffer
     before the error is raised, so a late reply can never be taken as the
-    answer to a later request.  A batch's replies must be followed by a
-    blank line, so a surplus reply is a protocol error before ``score``
-    returns; one written after the last batch is found by ``close``.
+    answer to a later request.  A batch's replies must end with a blank
+    line, so a surplus reply is a protocol error before ``score`` returns;
+    one written after the last batch is found by ``close``.  POSIX only.
     """
 
     def __init__(self, config: BridgeConfig):
@@ -127,50 +127,35 @@ class BridgeClient:
             raise BridgeCrashError(
                 f"cannot spawn scorer {self.config.command[0]!r}: {exc}"
             ) from exc
-        self._lines = queue.Queue()
-        self._reader = threading.Thread(
-            target=self._drain, args=(self._proc.stdout, self._lines), daemon=True
-        )
-        self._reader.start()
-
-    @staticmethod
-    def _drain(stream: BinaryIO, sink: queue.Queue) -> None:
-        with stream:
-            for line in stream:
-                sink.put(line)
-        sink.put(_EOF)
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        self._buffer = bytearray()  # output read but not yet taken as lines
+        self._unsent = memoryview(b"")  # the rest of the batch being written
 
     def close(self) -> None:
         """Stop the child; a reply still left once its output is drained is a ProtocolError."""
         proc = self._proc
         if proc is None:
             return
-        self._proc = None
-        try:
-            if proc.stdin:
+        with proc:  # on the way out Popen closes both pipes and reaps the child
+            try:
                 proc.stdin.close()
-            proc.wait(timeout=5)
-        except (OSError, subprocess.TimeoutExpired):
-            proc.kill()
-            proc.wait()
-        self._reader.join(timeout=5)
-        item = _EOF if self._lines.empty() else self._lines.get()
-        if item is not _EOF:
-            raise ProtocolError(
-                f"scorer sent an unrequested reply after the last request: {item.rstrip()!r}"
-            )
+                proc.wait(timeout=5)
+            except (OSError, subprocess.TimeoutExpired):
+                proc.kill()
+            try:
+                line = self._read_line(5.0)
+            except (BridgeCrashError, TimeoutError):  # drained, or held open (a grandchild)
+                return
+            finally:
+                self._proc = None
+        raise ProtocolError(
+            f"scorer sent an unrequested reply after the last request: {line.rstrip()!r}"
+        )
 
     def _respawn(self) -> None:
-        proc = self._proc
-        self._proc = None
-        if proc is not None:
+        proc, self._proc = self._proc, None
+        with proc:  # closes both pipes and reaps the killed child
             proc.kill()
-            proc.wait()
-            try:
-                if proc.stdin:
-                    proc.stdin.close()
-            except OSError:
-                pass
         self._spawn()
 
     def __enter__(self) -> "BridgeClient":
@@ -200,12 +185,12 @@ class BridgeClient:
             except (BridgeTimeoutError, ProtocolError):
                 self._respawn()
                 raise
-            except BridgeCrashError:
+            except BridgeCrashError as exc:
                 # Replies received before the crash are kept; only the
                 # unanswered remainder is replayed after the restart.
                 if restarts_left == 0:
                     raise BridgeCrashError(
-                        f"scorer exited with {len(chunk) - len(answered)} of "
+                        f"scorer crashed ({exc}): {len(chunk) - len(answered)} of "
                         f"{len(chunk)} requests unanswered "
                         f"(batch starting at {base_index})"
                     ) from None
@@ -218,19 +203,13 @@ class BridgeClient:
         first_index: int,
         sink: list[float],
     ) -> None:
-        proc = self._proc
-        assert proc is not None and proc.stdin is not None
+        assert self._proc is not None
         batch = "".join(req.encode() + "\n" for req in requests) + "\n"
         try:
-            data = batch.encode("utf-8")
+            self._unsent = memoryview(batch.encode("utf-8"))
         except UnicodeEncodeError as exc:  # an escaped request holds no raw newline
             index = first_index + batch.count("\n", 0, exc.start)
             raise DataError(f"request {index} is not valid UTF-8: {exc.reason}") from None
-        try:
-            proc.stdin.write(data)
-            proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise BridgeCrashError(f"scorer pipe closed while writing: {exc}") from exc
         for index in range(first_index, first_index + len(requests)):
             item = self._next_line(_NO_REPLY, index)
             try:
@@ -253,12 +232,37 @@ class BridgeClient:
 
     def _next_line(self, timeout_message: str, index: int) -> bytes:
         try:
-            item = self._lines.get(timeout=self.config.timeout)
-        except queue.Empty:
+            return self._read_line(self.config.timeout)
+        except TimeoutError:
             raise BridgeTimeoutError(timeout_message.format(index, self.config.timeout)) from None
-        if item is _EOF:
-            raise BridgeCrashError("scorer closed its output mid-batch")
-        return item
+
+    def _read_line(self, timeout: float) -> bytes:
+        """The child's next output line, writing the batch meanwhile; TimeoutError if late."""
+        deadline = time.monotonic() + timeout
+        stdin, stdout = self._proc.stdin, self._proc.stdout.fileno()
+        while (end := self._buffer.find(b"\n")) < 0:
+            poll = select.poll()
+            poll.register(stdout, select.POLLIN)
+            if self._unsent and not stdin.closed:  # close() drops what is unsent
+                poll.register(stdin, select.POLLOUT)
+            events = poll.poll(max(deadline - time.monotonic(), 0.0) * 1000)
+            if not events:
+                raise TimeoutError
+            for fd, _ in events:
+                if fd == stdout:
+                    chunk = os.read(stdout, 1 << 16)
+                    if not (chunk or self._buffer):
+                        raise BridgeCrashError("scorer closed its output mid-batch")
+                    self._buffer += chunk or b"\n"  # ends a last line that lacks one
+                else:
+                    try:
+                        self._unsent = self._unsent[os.write(fd, self._unsent) :]
+                    except OSError as exc:
+                        self._buffer.clear()  # replies to a batch cut short answer nothing
+                        raise BridgeCrashError(f"scorer pipe closed while writing: {exc}") from exc
+        line = bytes(self._buffer[:end])
+        del self._buffer[: end + 1]
+        return line
 
 
 def run_scorer_loop(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from pathlib import Path
 
 from mbrforge.bridge import decode_request, run_scorer_loop
 from mbrforge.metrics import sentence_chrf
@@ -95,6 +96,19 @@ def main() -> None:
                 sys.stdout.flush()
     elif mode == "exit-now":
         sys.exit(1)
+    elif mode == "close-input-twice":
+        # The first two processes started with this counter file wait for
+        # the client to fill their input pipe, reply once, close their
+        # input and keep running; later ones echo the mt number.
+        counter = Path(sys.argv[2])
+        started = int(counter.read_text()) if counter.exists() else 0
+        counter.write_text(str(started + 1))
+        if started < 2:
+            time.sleep(0.3)
+            os.write(1, b"99.0\n")
+            os.close(0)
+            time.sleep(30)
+        run_scorer_loop(lambda req: float(req.mt))
     elif mode == "slow":
         delay = float(sys.argv[2])
         for line in sys.stdin:

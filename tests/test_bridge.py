@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import io
+import os
 import runpy
+import signal
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -188,6 +191,45 @@ class TestClient:
         with pytest.raises(BridgeCrashError):
             BridgeClient(BridgeConfig(command=("/nonexistent/scorer",)))
 
+    def test_batch_whose_replies_fill_the_pipe(self):
+        # 4095 replies of 24 bytes (98 KB) overfill a 64 KiB pipe long before
+        # the 2 MB of requests are written, so the client must read while it
+        # writes; the alarm turns a deadlock into a failure.
+        requests = [
+            ScoreRequest("s" * 250, f"{i}.2345678901234567e+100", "r" * 250)
+            for i in range(1, 10)
+        ] * (MAX_BATCH_SIZE // 9)
+
+        def give_up(signum, frame):
+            raise AssertionError("client and scorer blocked on each other's pipes")
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(60)
+        try:
+            config = double_config("echo-mt", batch_size=MAX_BATCH_SIZE, timeout=30.0)
+            with BridgeClient(config) as client:
+                got = client.score(requests)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert got == [float(req.mt) for req in requests]
+
+
+class TestNothingOutlivesTheClient:
+    """The client reads on the calling thread and closes every pipe it opens."""
+
+    def test_no_thread_and_no_open_pipe(self):
+        threads = threading.active_count()
+        fds = len(os.listdir("/proc/self/fd"))
+        requests = [ScoreRequest("s", str(i), "r") for i in range(6)]
+        for _ in range(5):
+            with BridgeClient(double_config("crash-after", "3", batch_size=8)) as client:
+                assert threading.active_count() == threads
+                assert client.score(requests) == [float(i) for i in range(6)]
+                assert threading.active_count() == threads  # crashed and respawned
+            assert threading.active_count() == threads
+        assert len(os.listdir("/proc/self/fd")) == fds
+
 
 class TestMisbehaviour:
     def test_garbage_reply_is_protocol_error(self):
@@ -218,6 +260,38 @@ class TestMisbehaviour:
         with BridgeClient(config) as client:
             with pytest.raises(BridgeCrashError):
                 client.score(requests)
+
+    def test_closed_input_is_crash_naming_the_pipe(self):
+        # The child closes its input but keeps running, so only the write
+        # of the batch can tell that the scorer is gone.
+        code = "import os, time; os.close(0); time.sleep(30)"
+        config = BridgeConfig(
+            command=(sys.executable, "-c", code), timeout=30.0, restart_on_failure=False
+        )
+        with BridgeClient(config) as client:
+            time.sleep(1.0)
+            start = time.monotonic()
+            with pytest.raises(
+                BridgeCrashError,
+                match=r"scorer crashed \(scorer pipe closed while writing: .*Broken pipe\): "
+                r"1 of 1 requests unanswered \(batch starting at 0\)",
+            ):
+                client.score([ScoreRequest("s", "m", "r")])
+            assert time.monotonic() - start < 5.0
+
+    def test_replies_to_a_cut_short_batch_never_answer_the_next_call(self, tmp_path):
+        # Each of the first two scorers replies once and closes its input
+        # while the 2 MB batch is still being written, so the call fails
+        # after its one restart.  The reply read just before that failure
+        # must not answer the next call, whose restarted scorer works.
+        config = double_config(
+            "close-input-twice", str(tmp_path / "started"), batch_size=MAX_BATCH_SIZE
+        )
+        with BridgeClient(config) as client:
+            with pytest.raises(BridgeCrashError, match="pipe closed while writing"):
+                client.score([ScoreRequest("s" * 250, "0", "r" * 250)] * MAX_BATCH_SIZE)
+            requests = [ScoreRequest("s", "1", "r"), ScoreRequest("s", "2", "r")]
+            assert client.score(requests) == [1.0, 2.0]
 
     def test_immediate_exit_is_crash(self):
         config = double_config("exit-now")
@@ -318,16 +392,13 @@ class TestRepliesAsBytes:
             assert time.monotonic() - start < 5.0
 
     def test_closed_output_is_crash_without_waiting(self):
-        # The child closes its output but keeps reading; the end-of-stream
-        # marker is queued before the batch is written, and the first reply
-        # read must see it rather than wait out the timeout.
+        # The child closes its output but keeps reading; the first reply
+        # read must see the end of output rather than wait out the timeout.
         code = "import os, sys; os.close(1); sys.stdin.read()"
         config = BridgeConfig(
             command=(sys.executable, "-c", code), timeout=30.0, restart_on_failure=False
         )
         with BridgeClient(config) as client:
-            client._reader.join(timeout=5.0)
-            assert not client._reader.is_alive()
             start = time.monotonic()
             with pytest.raises(BridgeCrashError):
                 client.score([ScoreRequest("s", "m", "r")])

@@ -94,6 +94,8 @@ class TestTensorStore:
     def test_value_validation(self):
         with pytest.raises(DataError, match="at least one dimension"):
             TensorStore({"w": np.float32(1.0)})
+        with pytest.raises(DataError, match="non-positive dimension"):
+            TensorStore({"w": np.zeros((0, 2), np.float32)})
         with pytest.raises(DataError, match="non-finite"):
             TensorStore({"w": f32([np.nan])})
         with pytest.raises(DataError, match="non-finite"):
@@ -259,6 +261,10 @@ class TestLoraMerge:
                 LoraAdapter(rank=1, alpha=alpha, targets=())
         with pytest.raises(DataError, match="rows"):
             LoraAdapter(rank=2, alpha=1.0, targets=(("w", f32([[1.0]]), f32([[1.0]])),))
+        with pytest.raises(DataError, match="columns"):
+            LoraAdapter(
+                rank=1, alpha=1.0, targets=(("w", f32([[1.0, 2.0]]), f32([[1.0, 2.0]])),)
+            )
 
 
 class TestAdapterFromStore:
