@@ -25,6 +25,7 @@ from typing import BinaryIO, Callable, NamedTuple, Sequence
 
 from .errors import (
     BridgeCrashError,
+    BridgeError,
     BridgeTimeoutError,
     DataError,
     ProtocolError,
@@ -105,12 +106,14 @@ class BridgeClient:
 
     Replies are read on the calling thread, each line waited for with
     ``poll`` up to the configured timeout; the batch is written meanwhile,
-    so neither pipe can fill up and stall the other.  After a timeout or a
-    protocol error the child is killed and respawned with a fresh buffer
-    before the error is raised, so a late reply can never be taken as the
-    answer to a later request.  A batch's replies must end with a blank
-    line, so a surplus reply is a protocol error before ``score`` returns;
-    one written after the last batch is found by ``close``.  POSIX only.
+    so neither pipe can fill up and stall the other.  A crashed scorer is
+    restarted once per batch.  Every bridge error stops the scorer before
+    it is raised, so a late reply can never answer a later request; the
+    next call starts a new scorer, and so does a call after ``close``,
+    which returns at once after a failed call.  A batch's replies must end
+    with a blank line, so a surplus reply is a protocol error before
+    ``score`` returns; one written after the last batch is found by
+    ``close``.  POSIX only.
     """
 
     def __init__(self, config: BridgeConfig):
@@ -152,11 +155,10 @@ class BridgeClient:
             f"scorer sent an unrequested reply after the last request: {line.rstrip()!r}"
         )
 
-    def _respawn(self) -> None:
+    def _kill(self) -> None:
         proc, self._proc = self._proc, None
         with proc:  # closes both pipes and reaps the killed child
             proc.kill()
-        self._spawn()
 
     def __enter__(self) -> "BridgeClient":
         return self
@@ -168,34 +170,24 @@ class BridgeClient:
         """Score all requests, chunked by the configured batch size."""
         scores: list[float] = []
         for start in range(0, len(requests), self.config.batch_size):
-            chunk = requests[start : start + self.config.batch_size]
-            scores.extend(self._score_chunk(chunk, start))
+            end = min(start + self.config.batch_size, len(requests))
+            restarts_left = 1 if self.config.restart_on_failure else 0
+            while len(scores) < end:
+                if self._proc is None:
+                    self._spawn()
+                try:
+                    self._send_and_collect(requests[len(scores) : end], len(scores), scores)
+                except BridgeError as exc:
+                    self._kill()
+                    if not isinstance(exc, BridgeCrashError):
+                        raise
+                    if restarts_left == 0:
+                        raise BridgeCrashError(
+                            f"scorer crashed ({exc}): {end - len(scores)} of {end - start} "
+                            f"requests unanswered (batch starting at {start})"
+                        ) from None
+                    restarts_left -= 1
         return scores
-
-    def _score_chunk(
-        self, chunk: Sequence[ScoreRequest], base_index: int
-    ) -> list[float]:
-        restarts_left = 1 if self.config.restart_on_failure else 0
-        answered: list[float] = []
-        while True:
-            pending = list(chunk)[len(answered) :]
-            try:
-                self._send_and_collect(pending, base_index + len(answered), answered)
-                return answered
-            except (BridgeTimeoutError, ProtocolError):
-                self._respawn()
-                raise
-            except BridgeCrashError as exc:
-                # Replies received before the crash are kept; only the
-                # unanswered remainder is replayed after the restart.
-                if restarts_left == 0:
-                    raise BridgeCrashError(
-                        f"scorer crashed ({exc}): {len(chunk) - len(answered)} of "
-                        f"{len(chunk)} requests unanswered "
-                        f"(batch starting at {base_index})"
-                    ) from None
-                restarts_left -= 1
-                self._respawn()
 
     def _send_and_collect(
         self,
@@ -203,7 +195,6 @@ class BridgeClient:
         first_index: int,
         sink: list[float],
     ) -> None:
-        assert self._proc is not None
         batch = "".join(req.encode() + "\n" for req in requests) + "\n"
         try:
             self._unsent = memoryview(batch.encode("utf-8"))
@@ -258,7 +249,6 @@ class BridgeClient:
                     try:
                         self._unsent = self._unsent[os.write(fd, self._unsent) :]
                     except OSError as exc:
-                        self._buffer.clear()  # replies to a batch cut short answer nothing
                         raise BridgeCrashError(f"scorer pipe closed while writing: {exc}") from exc
         line = bytes(self._buffer[:end])
         del self._buffer[: end + 1]

@@ -64,6 +64,13 @@ def _add_workers_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
     )
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Shows each option's default, but not a switch's, which reads as the value it sets."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        return action.help if action.nargs == 0 else super()._get_help_string(action)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbrforge",
@@ -77,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="increase log verbosity (repeatable)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _HelpFormatter
 
     p = sub.add_parser(
         "mbr",
@@ -122,8 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="optional TSV dump of all utility matrices",
     )
-    p.add_argument("--bridge-batch-size", type=int, default=32)
-    p.add_argument("--bridge-timeout", type=float, default=60.0)
+    p.add_argument(
+        "--bridge-batch-size", type=int, default=32, help="requests per batch, 1..4096"
+    )
+    p.add_argument(
+        "--bridge-timeout", type=float, default=60.0, help="seconds to wait for each reply line"
+    )
     p.add_argument(
         "--no-bridge-restart",
         dest="bridge_restart",

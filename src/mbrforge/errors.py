@@ -55,7 +55,12 @@ class ProtocolError(BridgeError):
 
 
 class BridgeCrashError(BridgeError):
-    """The scorer process exited before answering a batch."""
+    """The scorer process exited before answering a batch, or could not start.
+
+    Like every bridge error it is raised after the client has stopped the
+    scorer.  The client's next call starts a new scorer, and so does a call
+    after ``close()``; ``close()`` after a failed call returns at once.
+    """
 
 
 class BridgeTimeoutError(BridgeError):

@@ -109,6 +109,15 @@ def main() -> None:
             os.close(0)
             time.sleep(30)
         run_scorer_loop(lambda req: float(req.mt))
+    elif mode == "close-input-then-reply":
+        # Wait for the client to fill the input pipe and close it; reply
+        # only once the client has had time to see the closed pipe, then
+        # keep running.
+        time.sleep(0.3)
+        os.close(0)
+        time.sleep(0.5)
+        os.write(1, b"99.0\n")
+        time.sleep(30)
     elif mode == "slow":
         delay = float(sys.argv[2])
         for line in sys.stdin:

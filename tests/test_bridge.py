@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import glob
 import io
 import os
 import runpy
@@ -42,6 +43,23 @@ PERFBENCH_UTILITY = runpy.run_path(PERFBENCH_SCORER)["utility"]
 
 def double_config(mode: str, *args: str, **kwargs) -> BridgeConfig:
     return BridgeConfig(command=(sys.executable, DOUBLES, mode, *args), **kwargs)
+
+
+def child_pids() -> set[str]:
+    """Live and unreaped children of this process, from every thread."""
+    pids: set[str] = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        with open(path) as f:
+            pids.update(f.read().split())
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    before = child_pids()
+    yield
+    left = child_pids() - before
+    assert not left, f"scorer processes left running or unreaped: {sorted(left)}"
 
 
 class TestEscaping:
@@ -216,7 +234,8 @@ class TestClient:
 
 
 class TestNothingOutlivesTheClient:
-    """The client reads on the calling thread and closes every pipe it opens."""
+    """The client reads on the calling thread and closes every pipe it opens;
+    a failed call stops its scorer and the next call starts a new one."""
 
     def test_no_thread_and_no_open_pipe(self):
         threads = threading.active_count()
@@ -228,6 +247,28 @@ class TestNothingOutlivesTheClient:
                 assert client.score(requests) == [float(i) for i in range(6)]
                 assert threading.active_count() == threads  # crashed and respawned
             assert threading.active_count() == threads
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.parametrize(
+        "double, first_call, error",
+        [
+            # The reply comes 1.5 s after the request, past the 1 s timeout.
+            (("delayed-echo",), [ScoreRequest("1.5", "1", "r")], BridgeTimeoutError),
+            (("delayed-echo",), [ScoreRequest("0", "nan", "r")], ProtocolError),
+            # Each scorer answers once, so the batch crashes after its restart.
+            (("crash-after", "1"), [ScoreRequest("0", str(i), "r") for i in range(3)],
+             BridgeCrashError),
+        ],
+        ids=["timeout", "protocol-error", "fatal-crash"],
+    )
+    def test_failed_call_leaves_no_scorer(self, double, first_call, error):
+        fds, children = len(os.listdir("/proc/self/fd")), child_pids()
+        with BridgeClient(double_config(*double, timeout=1.0)) as client:
+            with pytest.raises(error):
+                client.score(first_call)
+            assert len(os.listdir("/proc/self/fd")) == fds  # no pipe of the stopped scorer
+            assert child_pids() == children
+            assert client.score([ScoreRequest("0", "2", "r")]) == [2.0]
         assert len(os.listdir("/proc/self/fd")) == fds
 
 
@@ -292,6 +333,34 @@ class TestMisbehaviour:
                 client.score([ScoreRequest("s" * 250, "0", "r" * 250)] * MAX_BATCH_SIZE)
             requests = [ScoreRequest("s", "1", "r"), ScoreRequest("s", "2", "r")]
             assert client.score(requests) == [1.0, 2.0]
+
+    def test_fatal_crash_is_not_hidden_by_the_dead_scorers_output(self):
+        # The scorer closes its input while the 2 MB batch is being written,
+        # then writes a reply nobody asked for; with no restart the crash
+        # must reach the caller, not a complaint about that reply.
+        config = double_config(
+            "close-input-then-reply", batch_size=MAX_BATCH_SIZE, restart_on_failure=False
+        )
+        start = time.monotonic()
+        with pytest.raises(BridgeCrashError, match="pipe closed while writing"):
+            with BridgeClient(config) as client:
+                client.score([ScoreRequest("s" * 250, "0", "r" * 250)] * MAX_BATCH_SIZE)
+        assert time.monotonic() - start < 5.0
+
+    def test_failed_respawn_raises_until_the_scorer_can_start(self, tmp_path):
+        # The scorer's interpreter is removed after the first spawn, so the
+        # restart after a crash fails, and so does every later call's spawn.
+        python = tmp_path / "python"
+        python.symlink_to(sys.executable)
+        config = BridgeConfig(command=(str(python), DOUBLES, "crash-after", "3"), batch_size=8)
+        requests = [ScoreRequest("s", str(i), "r") for i in range(6)]
+        with BridgeClient(config) as client:
+            python.unlink()
+            for _ in range(3):
+                with pytest.raises(BridgeCrashError, match="cannot spawn scorer"):
+                    client.score(requests)
+            python.symlink_to(sys.executable)
+            assert client.score(requests) == [float(i) for i in range(6)]
 
     def test_immediate_exit_is_crash(self):
         config = double_config("exit-now")

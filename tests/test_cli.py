@@ -752,6 +752,30 @@ class TestWorkersDefault:
         assert "--workers" in capsys.readouterr().err
 
 
+class TestHelp:
+    def test_mbr_help_shows_only_defaults_that_hold(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["mbr", "--help"])
+        assert exc_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # wrapping aside
+        assert (
+            "--bridge-batch-size BRIDGE_BATCH_SIZE requests per batch, 1..4096 "
+            "(default: 32) --bridge-timeout"
+        ) in text
+        assert (
+            "--bridge-timeout BRIDGE_TIMEOUT seconds to wait for each reply line "
+            "(default: 60.0) --no-bridge-restart"
+        ) in text
+        # A switch shows no default: it would read as the value the switch sets.
+        assert (
+            "--include-self keep each candidate in its own reference set (default) "
+            "--exclude-self drop the diagonal from the row means --out"
+        ) in text
+        assert (
+            "--no-bridge-restart fail immediately if the scorer process crashes --workers"
+        ) in text
+
+
 class TestVerbose:
     # Run in a child process, so stderr is exactly what a user sees.
     @pytest.mark.parametrize(
