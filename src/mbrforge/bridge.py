@@ -33,6 +33,8 @@ from .errors import (
 )
 
 MAX_BATCH_SIZE = 4096
+# poll() takes its timeout as a C int of milliseconds, so a longer wait overflows.
+MAX_TIMEOUT = (2**31 - 1) / 1000
 
 _NO_REPLY = "scorer gave no reply for request {} within {}s"
 _NO_BATCH_END = (
@@ -97,8 +99,8 @@ class BridgeConfig(ValidatedRecord, _BridgeConfig):
             raise DataError(
                 f"batch_size must be in 1..{MAX_BATCH_SIZE}, got {self.batch_size}"
             )
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise DataError(f"timeout must be finite and positive, got {self.timeout}")
+        if not 0 < self.timeout <= MAX_TIMEOUT:  # NaN fails too
+            raise DataError(f"timeout must be in (0, {MAX_TIMEOUT}] seconds, got {self.timeout}")
 
 
 class BridgeClient:

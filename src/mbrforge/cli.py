@@ -28,7 +28,7 @@ from .errors import (
 from .textio import atomic_write_text, read_segments, require_aligned, write_segments
 
 if TYPE_CHECKING:
-    from . import promptgen, selftrain
+    from . import selftrain
 
 def _info(args: argparse.Namespace, message: str) -> None:
     """Write ``INFO mbrforge: <message>`` to stderr when -v is given."""
@@ -36,14 +36,23 @@ def _info(args: argparse.Namespace, message: str) -> None:
         print(f"INFO mbrforge: {message}", file=sys.stderr)
 
 
-def _workers_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _bounded(kind: type, low: float, high: float = float("inf"), *, above: bool = False):
+    """Argparse type for a ``kind`` number from ``low`` (excluded if ``above``) to ``high``."""
+    bound = ("above " if above else "at least ") + str(low)
+    if high < float("inf"):
+        bound += f" and at most {high}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not (low < value if above else low <= value) or value > high:  # NaN fails too
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
 
 
 def _utf8_text(text: str) -> str:
@@ -56,19 +65,16 @@ def _utf8_text(text: str) -> str:
 
 
 def _add_workers_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
-    parser.add_argument(
-        "--workers",
-        type=_workers_count,
-        default=1,
-        help=help_text,
-    )
+    parser.add_argument("--workers", type=_bounded(int, 1), default=1, help=help_text)
 
 
 class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
-    """Shows each option's default, but not a switch's, which reads as the value it sets."""
+    """Shows each option's default except None and a switch's, which reads as the value it sets."""
 
     def _get_help_string(self, action: argparse.Action) -> str | None:
-        return action.help if action.nargs == 0 else super()._get_help_string(action)
+        if action.nargs == 0 or action.default is None:
+            return action.help
+        return super()._get_help_string(action)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,11 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="optional TSV dump of all utility matrices",
     )
+    # The bounds are bridge.MAX_BATCH_SIZE and bridge.MAX_TIMEOUT; parsing leaves bridge unloaded.
     p.add_argument(
-        "--bridge-batch-size", type=int, default=32, help="requests per batch, 1..4096"
+        "--bridge-batch-size",
+        type=_bounded(int, 1, 4096),
+        default=32,
+        help="requests per batch, 1..4096",
     )
     p.add_argument(
-        "--bridge-timeout", type=float, default=60.0, help="seconds to wait for each reply line"
+        "--bridge-timeout",
+        type=_bounded(float, 0, (2**31 - 1) / 1000, above=True),
+        default=60.0,
+        help="seconds to wait for each reply line",
     )
     p.add_argument(
         "--no-bridge-restart",
@@ -435,25 +448,6 @@ def cmd_lora_merge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fewshot_records(doc: promptgen.ChatDocument, k: int):
-    from . import promptgen
-
-    for index, turn in enumerate(doc.turns):
-        pool = [
-            (other.source, other.reference)
-            for pos, other in enumerate(doc.turns)
-            if pos != index
-            and other.reference is not None
-            and (other.src_lang, other.tgt_lang) == (turn.src_lang, turn.tgt_lang)
-        ]
-        prompt = promptgen.render_fewshot(
-            pool, turn.source, (turn.src_lang, turn.tgt_lang), k=k
-        )
-        if turn.reference is not None:
-            prompt = promptgen.RenderedPrompt(prompt.text, turn.reference)
-        yield index, prompt
-
-
 def cmd_prompts(args: argparse.Namespace) -> int:
     import json
 
@@ -462,31 +456,16 @@ def cmd_prompts(args: argparse.Namespace) -> int:
     documents = promptgen.read_chat_documents(args.doc)
     if not documents:
         raise DataError(f"no chat turns found in {args.doc}")
-    records: list[tuple[str, int, promptgen.RenderedPrompt]] = []
-    for doc in documents:
-        if args.mode == "stream":
-            rendered = (
-                (i, promptgen.render_stream(doc, i, args.k))
-                for i in range(len(doc.turns))
-            )
-        elif args.mode == "context":
-            rendered = (
-                (
-                    i,
-                    promptgen.render_context(
-                        doc,
-                        i,
-                        args.before,
-                        args.after,
-                        include_query_context=not args.exclude_query_context,
-                    ),
-                )
-                for i in range(len(doc.turns))
-            )
-        else:
-            rendered = _fewshot_records(doc, args.k)
-        for index, prompt in rendered:
-            records.append((doc.doc_id, index, prompt))
+    render = {
+        "stream": lambda doc, i: promptgen.render_stream(doc, i, args.k),
+        "context": lambda doc, i: promptgen.render_context(
+            doc, i, args.before, args.after, include_query_context=not args.exclude_query_context
+        ),
+        "fewshot": lambda doc, i: promptgen.render_fewshot_turn(doc, i, args.k),
+    }[args.mode]
+    records = [
+        (doc.doc_id, i, render(doc, i)) for doc in documents for i in range(len(doc.turns))
+    ]
     if args.format == "jsonl":
         lines = [
             json.dumps(

@@ -53,6 +53,10 @@ def main() -> None:
             return float(req.mt)
 
         run_scorer_loop(count_then_die)
+    elif mode == "outlive-input":
+        # Echo the mt number, then keep running after the end of input.
+        run_scorer_loop(lambda req: float(req.mt))
+        time.sleep(30)
     elif mode == "chrf":
         run_scorer_loop(lambda req: sentence_chrf(req.mt, req.ref).value)
     elif mode == "garbage":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import glob
 import io
+import math
 import os
 import runpy
 import signal
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from mbrforge.bridge import (
     MAX_BATCH_SIZE,
+    MAX_TIMEOUT,
     BridgeClient,
     BridgeConfig,
     ScoreRequest,
@@ -120,6 +122,15 @@ class TestConfigValidation:
         for timeout in (0.0, float("nan"), float("inf")):
             with pytest.raises(DataError):
                 BridgeConfig(command=("x",), timeout=timeout)
+
+    def test_timeout_fits_poll(self):
+        # poll() waits at most 2**31 - 1 ms; a longer timeout overflowed it mid-call.
+        with pytest.raises(DataError, match="timeout must be in"):
+            BridgeConfig(command=("x",), timeout=3_000_000.0)
+        with pytest.raises(DataError):
+            BridgeConfig(command=("x",), timeout=math.nextafter(MAX_TIMEOUT, math.inf))
+        with BridgeClient(double_config("echo-mt", timeout=MAX_TIMEOUT)) as client:
+            assert client.score([ScoreRequest("s", "7", "r")]) == [7.0]
 
 
 def encode_batch(requests: list[ScoreRequest]) -> bytes:
@@ -231,6 +242,15 @@ class TestClient:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert got == [float(req.mt) for req in requests]
+
+
+    def test_close_kills_a_scorer_that_outlives_its_input(self):
+        client = BridgeClient(double_config("outlive-input"))
+        assert client.score([ScoreRequest("s", "3", "r")]) == [3.0]
+        started = time.monotonic()
+        client.close()  # waits 5 s for the scorer to exit, then kills it
+        assert time.monotonic() - started < 6.5
+        client.close()
 
 
 class TestNothingOutlivesTheClient:

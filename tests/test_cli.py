@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 from mbrforge import cli
+from mbrforge.bridge import MAX_BATCH_SIZE, MAX_TIMEOUT, BridgeConfig
 from mbrforge.checkpoint import TensorStore
-from mbrforge.errors import EXIT_OK
+from mbrforge.errors import EXIT_OK, DataError
 from mbrforge.promptgen import ChatDocument, ChatTurn
 from mbrforge.textio import read_segments
 from fixtures import TOY_DEMOS, read_golden, toy_chat_doc, write_doc_jsonl
@@ -752,6 +754,53 @@ class TestWorkersDefault:
         assert "--workers" in capsys.readouterr().err
 
 
+class TestBridgeFlags:
+    MBR = ["mbr", "--src", "s", "--cand", "a", "--cand", "b", "--out", "o"]
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("batch_size", [-1, 0, 1, MAX_BATCH_SIZE, MAX_BATCH_SIZE + 1]),
+            (
+                "timeout",
+                [-1.0, 0.0, 5e-324, 60.0, MAX_TIMEOUT, math.nextafter(MAX_TIMEOUT, math.inf),
+                 3e6, math.inf, math.nan],
+            ),
+        ],
+    )
+    def test_cli_and_config_agree_on_the_bounds(self, field, values, capsys):
+        parser = cli.build_parser()
+        flag = f"--bridge-{field.replace('_', '-')}"
+        for value in values:
+            try:
+                BridgeConfig(command=("x",), **{field: value})
+            except DataError:
+                with pytest.raises(SystemExit) as exc_info:
+                    parser.parse_args([*self.MBR, flag, repr(value)])
+                assert exc_info.value.code == 2
+                assert flag in capsys.readouterr().err
+            else:
+                args = parser.parse_args([*self.MBR, flag, repr(value)])
+                assert getattr(args, f"bridge_{field}") == value
+
+    @pytest.mark.parametrize("utility", ["chrf", "bleu", "external"])
+    @pytest.mark.parametrize(
+        "flags", [["--bridge-batch-size", "0"], ["--bridge-timeout", "3000000"]]
+    )
+    def test_bad_bridge_flag_is_usage_error_for_every_utility(
+        self, tmp_path, cand_files, capsys, utility, flags
+    ):
+        src, a, b, c = cand_files
+        scorer = f"{sys.executable} {SCRIPTS / 'chrf_scorer.py'}"
+        with pytest.raises(SystemExit) as exc_info:
+            run_mbr(tmp_path, src, [a, b, c], "--utility", utility, "--external-cmd", scorer,
+                    *flags)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and "Traceback" not in err
+        assert not (tmp_path / "out.txt").exists()
+
+
 class TestHelp:
     def test_mbr_help_shows_only_defaults_that_hold(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -774,6 +823,26 @@ class TestHelp:
         assert (
             "--no-bridge-restart fail immediately if the scorer process crashes --workers"
         ) in text
+
+    def test_eval_help_shows_one_default_per_option(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["eval", "--help"])
+        assert exc_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--hyp HYP hypothesis file --ref REF reference file --metric" in text
+        assert (
+            "--smoothing {none,add-k} BLEU smoothing (default: none for corpus, add-k per "
+            "sentence) --tokenize"
+        ) in text
+        assert "tokenization for BLEU (default: punctuation-split)" in text
+
+    @pytest.mark.parametrize(
+        "command", ["mbr", "eval", "build-st", "build-bt", "merge", "avg", "lora-merge", "prompts"]
+    )
+    def test_no_help_shows_a_default_of_none(self, command, capsys):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert "(default: None)" not in capsys.readouterr().out
 
 
 class TestVerbose:

@@ -18,6 +18,7 @@ from mbrforge.promptgen import (
     read_chat_documents,
     render_context,
     render_fewshot,
+    render_fewshot_turn,
     render_stream,
 )
 from fixtures import (
@@ -185,6 +186,52 @@ class TestFewshot:
         k = len(demos)
         prompt = render_fewshot(demos, "query", ("A", "B"), k=k)
         assert prompt.text.count("\n\n") == k
+
+
+class TestFewshotTurn:
+    """The pool is the document's other referenced turns in the query's direction."""
+
+    DOC = ChatDocument(
+        doc_id="d",
+        turns=(
+            make_turn(source="q", reference="Q"),
+            make_turn(source="a", reference="A"),
+            make_turn(src_lang="German", tgt_lang="English", source="back", reference="BACK"),
+            make_turn(source="unref", reference=None),
+            make_turn(source="b", reference="B"),
+        ),
+    )
+
+    def test_query_turn_left_out_of_its_own_pool(self):
+        prompt = render_fewshot_turn(self.DOC, 0, k=2)
+        assert prompt.text == (
+            "English: a\nGerman: A\n\nEnglish: b\nGerman: B\n\nEnglish: q\nGerman: "
+        )
+        with pytest.raises(DataError, match="need at least k=3 demonstrations, got 2"):
+            render_fewshot_turn(self.DOC, 0, k=3)
+
+    def test_other_direction_left_out(self):
+        with pytest.raises(DataError, match="need at least k=1 demonstrations, got 0"):
+            render_fewshot_turn(self.DOC, 2, k=1)
+        assert render_fewshot_turn(self.DOC, 2, k=0).text == "German: back\nEnglish: "
+
+    def test_turns_without_reference_left_out(self):
+        prompt = render_fewshot_turn(self.DOC, 3, k=3)
+        assert prompt.text == (
+            "English: q\nGerman: Q\n\nEnglish: a\nGerman: A\n\n"
+            "English: b\nGerman: B\n\nEnglish: unref\nGerman: "
+        )
+        with pytest.raises(DataError, match="need at least k=4 demonstrations, got 3"):
+            render_fewshot_turn(self.DOC, 3, k=4)
+
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_bad_index(self, index):
+        with pytest.raises(DataError, match="out of range"):
+            render_fewshot_turn(self.DOC, index, k=0)
+
+    @pytest.mark.parametrize("index, completion", [(0, "Q"), (2, "BACK"), (3, "")])
+    def test_completion_is_the_reference(self, index, completion):
+        assert render_fewshot_turn(self.DOC, index, k=0).completion == completion
 
 
 class TestTurnValidation:

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from fixtures import toy_chat_doc, write_doc_jsonl
+
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
@@ -78,3 +80,13 @@ def test_eval(inputs, span_metrics):
     metrics = traced(inputs, span_metrics, *argv)
     assert "cli.eval_s" in metrics
     assert "metrics.corpus_s" in metrics
+
+
+@pytest.mark.parametrize("mode", ["stream", "context", "fewshot"])
+def test_prompts(tmp_path, span_metrics, mode):
+    write_doc_jsonl(toy_chat_doc(), tmp_path / "chat.jsonl")
+    argv = ["prompts", "--mode", mode, "--doc", str(tmp_path / "chat.jsonl"),
+            "--out", str(tmp_path / "prompts.jsonl"), "--k", "0"]
+    metrics = traced(tmp_path, span_metrics, *argv)
+    assert "promptgen.read_s" in metrics
+    assert f"promptgen.render_{mode}_s" in metrics
