@@ -25,7 +25,7 @@ from .errors import (
     MbrforgeError,
     UsageError,
 )
-from .textio import atomic_write_text, read_segments, require_aligned, write_segments
+from .textio import read_aligned, segment_lines, write_outputs
 
 if TYPE_CHECKING:
     from . import selftrain
@@ -55,6 +55,10 @@ def _bounded(kind: type, low: float, high: float = float("inf"), *, above: bool 
     return parse
 
 
+_count = _bounded(int, 0)
+_positive = _bounded(float, 0, above=True)
+
+
 def _utf8_text(text: str) -> str:
     """Argparse type for text that is written out: argv may hold non-UTF-8 bytes."""
     try:
@@ -75,6 +79,14 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         if action.nargs == 0 or action.default is None:
             return action.help
         return super()._get_help_string(action)
+
+    def _format_action(self, action: argparse.Action) -> str:
+        if action.help is None and self._get_help_string(action):  # a bare option's default
+            import copy
+
+            action = copy.copy(action)
+            action.help = self._get_help_string(action).strip()
+        return super()._format_action(action)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="adapter TSF holding <name>.lora_A / <name>.lora_B pairs",
     )
-    p.add_argument("--alpha", type=float, required=True, help="adapter scaling alpha")
+    p.add_argument(
+        "--alpha",
+        type=_bounded(float, 0, sys.float_info.max, above=True),  # finite too
+        required=True,
+        help="adapter scaling alpha",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_lora_merge)
 
@@ -272,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mode", choices=["stream", "context", "fewshot"], required=True)
     p.add_argument("--doc", required=True, help="chat document file (JSONL turns)")
-    p.add_argument("--k", type=int, default=5, help="history turns (stream) or shots (fewshot)")
-    p.add_argument("--before", type=int, default=2, help="context turns before the query")
-    p.add_argument("--after", type=int, default=2, help="context turns after the query")
+    p.add_argument("--k", type=_count, default=5, help="history turns (stream) or shots (fewshot)")
+    p.add_argument("--before", type=_count, default=2, help="context turns before the query")
+    p.add_argument("--after", type=_count, default=2, help="context turns after the query")
     p.add_argument(
         "--exclude-query-context",
         action="store_true",
@@ -294,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-ratio", type=float, default=9.0, help="token length ratio cap")
-    parser.add_argument("--min-tokens", type=int, default=1)
-    parser.add_argument("--max-tokens", type=int, default=250)
+    parser.add_argument("--max-ratio", type=_positive, default=9.0, help="token length ratio cap")
+    parser.add_argument("--min-tokens", type=_count, default=1)
+    parser.add_argument("--max-tokens", type=_count, default=250)
     parser.add_argument("--dedup", action="store_true", help="drop exact duplicate pairs")
     parser.add_argument(
         "--no-meta",
@@ -350,18 +367,17 @@ def cmd_mbr(args: argparse.Namespace) -> int:
     _info(args, f"selecting over {cset.num_segments} segments x {cset.num_systems} systems")
     matrices = mbr.segment_matrices(cset, spec, workers=args.workers)
     selection = mbr.selection_from_matrices(cset, matrices)
-    write_segments(args.out, list(selection.chosen))
+    outputs = {args.out: segment_lines(selection.chosen)}
     if args.matrix_out:
-        atomic_write_text(args.matrix_out, mbr.format_matrix_dump(matrices))
+        outputs[args.matrix_out] = mbr.format_matrix_dump(matrices).encode("utf-8")
+    write_outputs(outputs)
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import metrics
 
-    hyps = read_segments(args.hyp)
-    refs = read_segments(args.ref)
-    require_aligned({args.hyp: len(hyps), args.ref: len(refs)})
+    hyps, refs = read_aligned(args.hyp, args.ref)
     if not hyps:
         raise DataError("cannot score an empty corpus")
     if args.metric == "bleu":
@@ -387,9 +403,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_build_st(args: argparse.Namespace) -> int:
     from . import selftrain
 
-    sources = read_segments(args.src)
-    translations = read_segments(args.mt)
-    require_aligned({args.src: len(sources), args.mt: len(translations)})
+    sources, translations = read_aligned(args.src, args.mt)
     corpus = selftrain.build_st_corpus(sources, translations, _filter_config(args))
     selftrain.write_corpus(corpus, args.out_prefix, write_meta=args.write_meta)
     _info(args, f"kept {len(corpus)} of {len(sources)} pairs")
@@ -399,9 +413,7 @@ def cmd_build_st(args: argparse.Namespace) -> int:
 def cmd_build_bt(args: argparse.Namespace) -> int:
     from . import selftrain
 
-    targets = read_segments(args.tgt)
-    back = read_segments(args.bt)
-    require_aligned({args.tgt: len(targets), args.bt: len(back)})
+    targets, back = read_aligned(args.tgt, args.bt)
     corpus = selftrain.build_bt_corpus(targets, back, tag=args.tag, config=_filter_config(args))
     selftrain.write_corpus(corpus, args.out_prefix, write_meta=args.write_meta)
     _info(args, f"kept {len(corpus)} of {len(targets)} pairs")
@@ -467,7 +479,7 @@ def cmd_prompts(args: argparse.Namespace) -> int:
         (doc.doc_id, i, render(doc, i)) for doc in documents for i in range(len(doc.turns))
     ]
     if args.format == "jsonl":
-        lines = [
+        chunks = [
             json.dumps(
                 {
                     "doc_id": doc_id,
@@ -479,21 +491,32 @@ def cmd_prompts(args: argparse.Namespace) -> int:
             )
             for doc_id, index, prompt in records
         ]
-        atomic_write_text(args.out, "".join(line + "\n" for line in lines))
     else:
         chunks = [
-            prompt.text + prompt.completion + "\n" + args.separator + "\n"
+            prompt.text + prompt.completion + "\n" + args.separator
             for _doc_id, _index, prompt in records
         ]
-        atomic_write_text(args.out, "".join(chunks))
+    write_outputs({args.out: "".join(chunk + "\n" for chunk in chunks).encode("utf-8")})
     return EXIT_OK
+
+
+def _flush_stdout() -> None:
+    """Flush stdout; on failure point fd 1 at /dev/null, so the exit flush cannot fail again."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        _flush_stdout()  # a stdout that cannot be written is an i/o error, not exit 120
+        return code
     except BridgeError as exc:
         print(f"mbrforge: bridge error: {exc}", file=sys.stderr)
         return EXIT_BRIDGE

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import metrics
 from .errors import DataError, MbrforgeError, ValidatedRecord
-from .textio import read_segments, require_aligned
+from .textio import read_aligned, require_aligned
 
 if TYPE_CHECKING:
     from .bridge import BridgeConfig
@@ -115,17 +115,11 @@ def load_candidates(
         raise DataError(
             f"need at least 2 candidate files for selection, got {len(candidate_paths)}"
         )
-    sources = read_segments(source_path)
-    columns = [read_segments(p) for p in candidate_paths]
-    counts = {str(source_path): len(sources)}
-    for path, column in zip(candidate_paths, columns):
-        counts[str(path)] = len(column)
-    require_aligned(counts)
-    rows = tuple(zip(*columns)) if sources else ()
+    sources, *columns = read_aligned(source_path, *candidate_paths)
     return CandidateSet(
         sources=tuple(sources),
         systems=tuple(str(p) for p in candidate_paths),
-        candidates=tuple(tuple(row) for row in rows),
+        candidates=tuple(zip(*columns)),
     )
 
 

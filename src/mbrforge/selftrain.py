@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DataError, ValidatedRecord
-from .textio import read_segments, require_aligned, write_segments
+from .textio import read_aligned, require_aligned, segment_lines, write_outputs
 
 PROVENANCE_TAGS = ("genuine", "self-train", "back-translate")
 
@@ -185,27 +185,23 @@ def _corpus_files(prefix: Path) -> tuple[Path, ...]:
 def write_corpus(
     corpus: ParallelCorpus, prefix: str | Path, write_meta: bool = True
 ) -> list[Path]:
-    """Write <prefix>.src / <prefix>.tgt (+ optional <prefix>.meta).
+    """Write <prefix>.src / <prefix>.tgt (+ optional <prefix>.meta), all or none.
 
-    Without ``write_meta`` a stale <prefix>.meta is removed, so that
-    ``read_corpus`` reads the new pairs as "genuine".
+    Without ``write_meta`` a stale <prefix>.meta is removed once the others
+    are in place, so that ``read_corpus`` reads the new pairs as "genuine".
     """
     src_path, tgt_path, meta_path = _corpus_files(Path(prefix))
-    write_segments(src_path, list(corpus.sources))
-    write_segments(tgt_path, list(corpus.targets))
-    if not write_meta:
-        meta_path.unlink(missing_ok=True)
-        return [src_path, tgt_path]
-    write_segments(meta_path, list(corpus.provenance))
-    return [src_path, tgt_path, meta_path]
+    outputs = {src_path: segment_lines(corpus.sources), tgt_path: segment_lines(corpus.targets)}
+    if write_meta:
+        outputs[meta_path] = segment_lines(corpus.provenance)
+    write_outputs(outputs, remove=() if write_meta else (meta_path,))
+    return list(outputs)
 
 
 def read_corpus(prefix: str | Path) -> ParallelCorpus:
     """Read a corpus written by write_corpus; missing .meta means all "genuine"."""
     src_path, tgt_path, meta_path = _corpus_files(Path(prefix))
     files = [src_path, tgt_path] + ([meta_path] if meta_path.exists() else [])
-    columns = [read_segments(path) for path in files]
-    require_aligned({str(path): len(lines) for path, lines in zip(files, columns)})
-    sources, targets, *meta = columns
+    sources, targets, *meta = read_aligned(*files)
     provenance = meta[0] if meta else ["genuine"] * len(sources)
     return ParallelCorpus(tuple(zip(sources, targets)), tuple(provenance))

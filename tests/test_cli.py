@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -308,6 +309,26 @@ class TestEvalCommand:
         assert str(hyp) in err and "UTF-8" in err
 
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_stdout_that_cannot_be_written_is_io_error(self, tmp_path):
+        # Buffered stdout: without the flush in main, the failure would come
+        # from the interpreter's exit flush, as exit 120.
+        hyp = write_lines(tmp_path / "hyp.txt", ["a b", "c"])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "mbrforge.cli", "eval", "--hyp", str(hyp), "--ref",
+                 str(hyp), "--sentence-level"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        assert result.returncode == 5
+        assert result.stderr == "mbrforge: i/o error: [Errno 28] No space left on device\n"
+
+
 class TestCorpusCommands:
     def test_build_st(self, tmp_path):
         src = write_lines(tmp_path / "mono.txt", ["s one", "s two"])
@@ -431,6 +452,74 @@ class TestCorpusCommands:
         assert rc == EXIT_OK
         assert (tmp_path / "again.src").read_bytes() == (tmp_path / "all.src").read_bytes()
         assert (tmp_path / "again.meta").read_bytes() == (tmp_path / "all.meta").read_bytes()
+
+
+def files_in(directory: Path) -> dict[str, bytes | None]:
+    """Every path under ``directory`` with its bytes (None for a directory)."""
+    return {
+        str(path.relative_to(directory)): None if path.is_dir() else path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+    }
+
+
+class TestOutputsTogether:
+    """A failed output leaves every target of the command as it was, and no temp file."""
+
+    @staticmethod
+    def assert_nothing_changed(tmp_path, argv, capsys):
+        before = files_in(tmp_path)
+        assert cli.main(argv) == 5
+        assert capsys.readouterr().err.startswith("mbrforge: i/o error: ")
+        assert files_in(tmp_path) == before
+
+    @staticmethod
+    def old_corpus(prefix: Path, *extensions: str) -> None:
+        for ext in extensions:
+            prefix.with_name(prefix.name + ext).write_bytes(f"old {ext}\n".encode())
+
+    def test_mbr_matrix_out_in_a_missing_directory(self, tmp_path, cand_files, capsys):
+        src, a, b, c = cand_files
+        (tmp_path / "out.txt").write_bytes(b"old selection\n")
+        argv = ["mbr", "--src", str(src), "--cand", str(a), "--cand", str(b), "--cand", str(c),
+                "--out", str(tmp_path / "out.txt"),
+                "--matrix-out", str(tmp_path / "missing" / "m.tsv")]
+        self.assert_nothing_changed(tmp_path, argv, capsys)
+
+    @pytest.mark.parametrize("command", ["build-st", "build-bt"])
+    def test_build_meta_is_a_directory(self, tmp_path, capsys, command):
+        mono = write_lines(tmp_path / "mono.txt", ["s one", "s two"])
+        mt = write_lines(tmp_path / "mt.txt", ["t one", "t two"])
+        self.old_corpus(tmp_path / "c", ".src", ".tgt")
+        (tmp_path / "c.meta").mkdir()
+        inputs = ["--src", str(mono), "--mt", str(mt)] if command == "build-st" else [
+            "--tgt", str(mono), "--bt", str(mt)]
+        argv = [command, *inputs, "--out-prefix", str(tmp_path / "c")]
+        self.assert_nothing_changed(tmp_path, argv, capsys)
+
+    def test_merge_meta_is_a_directory(self, tmp_path, capsys):
+        write_lines(tmp_path / "in.src", ["s1", "s2"])
+        write_lines(tmp_path / "in.tgt", ["t1", "t2"])
+        self.old_corpus(tmp_path / "all", ".src", ".tgt")
+        (tmp_path / "all.meta").mkdir()
+        argv = ["merge", "--inputs", str(tmp_path / "in"), "--out-prefix", str(tmp_path / "all")]
+        self.assert_nothing_changed(tmp_path, argv, capsys)
+
+    def test_no_meta_run_with_a_meta_directory(self, tmp_path, capsys):
+        mono = write_lines(tmp_path / "mono.txt", ["s one", "s two"])
+        self.old_corpus(tmp_path / "c", ".src", ".tgt")
+        (tmp_path / "c.meta").mkdir()
+        argv = ["build-st", "--src", str(mono), "--mt", str(mono), "--out-prefix",
+                str(tmp_path / "c"), "--no-meta"]
+        self.assert_nothing_changed(tmp_path, argv, capsys)
+
+    def test_failed_no_meta_run_keeps_the_stale_meta(self, tmp_path, capsys):
+        mono = write_lines(tmp_path / "mono.txt", ["s one", "s two"])
+        mt = write_lines(tmp_path / "mt.txt", ["t one", "t two"])
+        self.old_corpus(tmp_path / "c", ".src", ".meta")
+        (tmp_path / "c.tgt").mkdir()
+        argv = ["build-st", "--src", str(mono), "--mt", str(mt), "--out-prefix",
+                str(tmp_path / "c"), "--no-meta"]
+        self.assert_nothing_changed(tmp_path, argv, capsys)
 
 
 BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
@@ -701,9 +790,8 @@ class TestPromptsCommand:
                 ["--mode", "context"],
                 "{doc}:1: unknown speaker: 'robot'",
             ),
-            (None, ["--mode", "fewshot", "--k", "-1"], "k must be >= 0, got -1"),
         ],
-        ids=["blank-lines", "unknown-speaker", "negative-k"],
+        ids=["blank-lines", "unknown-speaker"],
     )
     def test_data_error_writes_nothing(self, tmp_path, capsys, doc_text, flags, message):
         doc_path = tmp_path / "chat.jsonl"
@@ -715,6 +803,21 @@ class TestPromptsCommand:
         rc = cli.main(["prompts", "--doc", str(doc_path), "--out", str(out), *flags])
         assert rc == 3
         assert message.format(doc=doc_path) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag", ["--k", "--before", "--after"],
+        ids=["negative-k", "negative-before", "negative-after"],
+    )
+    def test_usage_error_writes_nothing(self, tmp_path, capsys, flag):
+        doc_path = tmp_path / "chat.jsonl"
+        write_doc_jsonl(fewshot_doc(), doc_path)
+        out = tmp_path / "p.jsonl"
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["prompts", "--mode", "fewshot", "--doc", str(doc_path), "--out", str(out),
+                      flag, "-1"])
+        assert exc_info.value.code == 2
+        assert f"argument {flag}: must be at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_separator_not_utf8(self, tmp_path, capsys):
@@ -801,6 +904,48 @@ class TestBridgeFlags:
         assert not (tmp_path / "out.txt").exists()
 
 
+class TestNumericFlags:
+    # The input files do not exist: a bad value must stop the run before any is read.
+    REQUIRED = {
+        "prompts": ["--mode", "context", "--doc", "d", "--out", "o"],
+        "build-st": ["--src", "s", "--mt", "m", "--out-prefix", "p"],
+        "build-bt": ["--tgt", "t", "--bt", "b", "--out-prefix", "p"],
+        "lora-merge": ["--base", "b", "--adapter", "a", "--out", "o"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("prompts", "--k", "-1"),
+            ("prompts", "--before", "-2"),
+            ("prompts", "--after", "x"),
+            ("build-st", "--min-tokens", "-1"),
+            ("build-st", "--max-tokens", "-1"),
+            ("build-bt", "--max-ratio", "0"),
+            ("build-bt", "--max-ratio", "nan"),
+            ("lora-merge", "--alpha", "0"),
+            ("lora-merge", "--alpha", "-1"),
+            ("lora-merge", "--alpha", "inf"),
+            ("lora-merge", "--alpha", "nan"),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, tmp_path, monkeypatch, capsys, command, flag, value):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main([command, *self.REQUIRED[command], flag, value])
+        assert exc_info.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_min_tokens_above_max_tokens_is_data_error(self, tmp_path, capsys):
+        # The rule spans two flags, so FilterConfig keeps it.
+        mono = write_lines(tmp_path / "mono.txt", ["s"])
+        rc = cli.main(["build-st", "--src", str(mono), "--mt", str(mono), "--out-prefix",
+                       str(tmp_path / "st"), "--min-tokens", "3", "--max-tokens", "2"])
+        assert rc == 3
+        assert "min_tokens must not exceed max_tokens" in capsys.readouterr().err
+
+
 class TestHelp:
     def test_mbr_help_shows_only_defaults_that_hold(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -843,6 +988,36 @@ class TestHelp:
         with pytest.raises(SystemExit):
             cli.main([command, "--help"])
         assert "(default: None)" not in capsys.readouterr().out
+
+
+    def test_every_numeric_option_is_bounded_and_shows_its_default(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        checked = 0
+        for name, sub in commands.choices.items():
+            text = " ".join(sub.format_help().split())
+            for action in sub._actions:
+                if action.nargs == 0 or not action.option_strings:
+                    continue  # a switch, or -h
+                if action.default is not None:
+                    assert f"(default: {action.default})" in text, (name, action.dest)
+                numeric = action.type in (int, float) or getattr(
+                    action.type, "__qualname__", ""
+                ).startswith("_bounded.")
+                if numeric and (name, action.dest) != ("merge", "seed"):  # every int seeds
+                    assert action.type.__qualname__.startswith("_bounded."), (name, action.dest)
+                    checked += 1
+        assert checked == 14
+
+    def test_bare_options_show_their_default(self, capsys):
+        for argv, shown in [
+            (["eval", "--help"], "--metric {bleu,chrf} (default: chrf)"),
+            (["build-st", "--help"], "--min-tokens MIN_TOKENS (default: 1)"),
+            (["build-st", "--help"], "--max-tokens MAX_TOKENS (default: 250)"),
+        ]:
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+            assert shown in " ".join(capsys.readouterr().out.split())
 
 
 class TestVerbose:

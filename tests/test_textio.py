@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import os
+import re
 import stat
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,12 +14,19 @@ from hypothesis import strategies as st
 from mbrforge.errors import AlignmentError
 from mbrforge.textio import (
     atomic_write_bytes,
+    read_aligned,
     read_segments,
     require_aligned,
-    write_segments,
+    segment_lines,
+    write_outputs,
 )
 
 segments_st = st.lists(st.text(alphabet="ab c\t", max_size=10), max_size=10)
+
+
+def write_segments(path, segments) -> None:
+    """Write one segment file the way the commands do."""
+    write_outputs({path: segment_lines(segments)})
 
 
 class TestReadSegments:
@@ -59,9 +68,9 @@ class TestWriteSegments:
         write_segments(path, segments)
         assert read_segments(path) == segments
 
-    def test_rejects_embedded_newline(self, tmp_path):
+    def test_rejects_embedded_newline(self):
         with pytest.raises(ValueError):
-            write_segments(tmp_path / "f.txt", ["a\nb"])
+            segment_lines(["a\nb"])
 
     @given(segments_st)
     def test_round_trip_property(self, segments):
@@ -136,3 +145,80 @@ class TestRequireAligned:
         message = str(exc_info.value)
         assert "hyp.txt: 2 lines" in message
         assert "ref.txt: 3 lines" in message
+
+
+class TestReadAligned:
+    def test_returns_each_file_in_order(self, tmp_path):
+        (tmp_path / "a.txt").write_text("x\ny\n")
+        (tmp_path / "b.txt").write_text("1\n2")
+        assert read_aligned(tmp_path / "a.txt", tmp_path / "b.txt") == [["x", "y"], ["1", "2"]]
+
+    def test_unequal_counts_name_every_path(self, tmp_path):
+        (tmp_path / "a.txt").write_text("x\n")
+        (tmp_path / "b.txt").write_text("1\n2\n")
+        with pytest.raises(AlignmentError) as exc_info:
+            read_aligned(tmp_path / "a.txt", str(tmp_path / "b.txt"))
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        assert str(exc_info.value) == f"inputs are not aligned ({a}: 1 lines, {b}: 2 lines)"
+
+
+class TestWriteOutputs:
+    def test_writes_every_output_and_removes(self, tmp_path):
+        (tmp_path / "stale").write_bytes(b"old")
+        write_outputs(
+            {tmp_path / "a": b"A", str(tmp_path / "b"): b"B"}, remove=[tmp_path / "stale"]
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+        assert (tmp_path / "a").read_bytes() == b"A"
+        assert (tmp_path / "b").read_bytes() == b"B"
+
+    def test_missing_remove_path_is_fine(self, tmp_path):
+        write_outputs({tmp_path / "a": b"A"}, remove=[tmp_path / "absent"])
+        assert [p.name for p in tmp_path.iterdir()] == ["a"]
+
+    @pytest.mark.parametrize("last", ["missing/b", "dir"], ids=["missing-directory", "directory"])
+    def test_failed_output_changes_nothing(self, tmp_path, last):
+        (tmp_path / "a").write_bytes(b"old a")
+        (tmp_path / "stale").write_bytes(b"old stale")
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(OSError):
+            write_outputs({tmp_path / "a": b"new", tmp_path / last: b"new"},
+                          remove=[tmp_path / "stale"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "dir", "stale"]
+        assert (tmp_path / "a").read_bytes() == b"old a"
+        assert (tmp_path / "stale").read_bytes() == b"old stale"
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    def test_directory_target_is_named(self, tmp_path):
+        with pytest.raises(IsADirectoryError, match=re.escape(str(tmp_path))):
+            write_outputs({tmp_path: b"x"})
+
+    def test_error_while_staging_deletes_staged_files(self, tmp_path, monkeypatch):
+        real_fdopen = os.fdopen
+        opened = []
+
+        def fdopen_failing_second(fd, *args):
+            opened.append(fd)
+            if len(opened) == 2:
+                os.close(fd)
+                raise OSError("disk full")
+            return real_fdopen(fd, *args)
+
+        monkeypatch.setattr(os, "fdopen", fdopen_failing_second)
+        with pytest.raises(OSError, match="disk full"):
+            write_outputs({tmp_path / "a": b"A", tmp_path / "b": b"B"})
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_only_textio_changes_files():
+    # Every write, rename and unlink of an output goes through textio, so a
+    # command's outputs are replaced together or not at all.
+    src = Path(__file__).parent.parent / "src" / "mbrforge"
+    calls = re.compile(r"os\.open\(|os\.replace\(|\.unlink\(|\.write_text\(|\.write_bytes\(")
+    found = {
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if calls.search(line)
+    }
+    assert found and all(site.startswith("textio.py:") for site in found), sorted(found)
