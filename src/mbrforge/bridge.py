@@ -109,13 +109,13 @@ class BridgeClient:
     Replies are read on the calling thread, each line waited for with
     ``poll`` up to the configured timeout; the batch is written meanwhile,
     so neither pipe can fill up and stall the other.  A crashed scorer is
-    restarted once per batch.  Every bridge error stops the scorer before
-    it is raised, so a late reply can never answer a later request; the
-    next call starts a new scorer, and so does a call after ``close``,
-    which returns at once after a failed call.  A batch's replies must end
-    with a blank line, so a surplus reply is a protocol error before
-    ``score`` returns; one written after the last batch is found by
-    ``close``.  POSIX only.
+    restarted once per batch, and each restart writes a WARNING line to
+    stderr.  Every bridge error stops the scorer before it is raised, so a
+    late reply can never answer a later request; the next call starts a
+    new scorer, and so does a call after ``close``, which returns at once
+    after a failed call.  A batch's replies must end with a blank line, so
+    a surplus reply is a protocol error before ``score`` returns; one
+    written after the last batch is found by ``close``.  POSIX only.
     """
 
     def __init__(self, config: BridgeConfig):
@@ -189,6 +189,11 @@ class BridgeClient:
                             f"requests unanswered (batch starting at {start})"
                         ) from None
                     restarts_left -= 1
+                    sys.stderr.write(  # one write, so lines from worker threads never interleave
+                        f"WARNING mbrforge: scorer crashed ({exc}); restarting it to replay "
+                        f"{end - len(scores)} of {end - start} requests "
+                        f"(batch starting at {start})\n"
+                    )
         return scores
 
     def _send_and_collect(

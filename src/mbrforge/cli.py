@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import (
     EXIT_BRIDGE,
@@ -89,6 +89,15 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return super()._format_action(action)
 
 
+def _add_command(
+    sub, name: str, handler: Callable[[argparse.Namespace], int], help_text: str
+) -> argparse.ArgumentParser:
+    """Register one subcommand: its help line, the shared formatter and its handler."""
+    parser = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
+    parser.set_defaults(func=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbrforge",
@@ -102,13 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="increase log verbosity (repeatable)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = _HelpFormatter
 
-    p = sub.add_parser(
-        "mbr",
-        help="select the minimum-risk candidate per segment",
-        formatter_class=fmt,
-    )
+    p = _add_command(sub, "mbr", cmd_mbr, "select the minimum-risk candidate per segment")
     p.add_argument("--src", required=True, help="source text file")
     p.add_argument(
         "--cand",
@@ -172,12 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
         "external-scorer processes for --utility external; native utilities "
         "score in one thread",
     )
-    p.set_defaults(func=cmd_mbr)
 
-    p = sub.add_parser(
-        "eval",
-        help="score hypotheses against references with BLEU or chrF",
-        formatter_class=fmt,
+    p = _add_command(
+        sub, "eval", cmd_eval, "score hypotheses against references with BLEU or chrF"
     )
     p.add_argument("--hyp", required=True, help="hypothesis file")
     p.add_argument("--ref", required=True, help="reference file")
@@ -200,23 +201,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="tokenization for BLEU",
     )
     _add_workers_flag(p, "accepted for compatibility; has no effect on eval")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser(
-        "build-st",
-        help="build a self-training corpus from sources and translations",
-        formatter_class=fmt,
+    p = _add_command(
+        sub, "build-st", cmd_build_st, "build a self-training corpus from sources and translations"
     )
     p.add_argument("--src", required=True, help="monolingual source file")
     p.add_argument("--mt", required=True, help="forward translations (e.g. mbr output)")
     p.add_argument("--out-prefix", required=True)
     _add_filter_flags(p)
-    p.set_defaults(func=cmd_build_st)
 
-    p = sub.add_parser(
+    p = _add_command(
+        sub,
         "build-bt",
-        help="build a back-translation corpus from targets and their back-translations",
-        formatter_class=fmt,
+        cmd_build_bt,
+        "build a back-translation corpus from targets and their back-translations",
     )
     p.add_argument("--tgt", required=True, help="monolingual target file")
     p.add_argument("--bt", required=True, help="back-translations of the target file")
@@ -228,12 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out-prefix", required=True)
     _add_filter_flags(p)
-    p.set_defaults(func=cmd_build_bt)
 
-    p = sub.add_parser(
-        "merge",
-        help="concatenate corpora, optionally shuffling deterministically",
-        formatter_class=fmt,
+    p = _add_command(
+        sub, "merge", cmd_merge, "concatenate corpora, optionally shuffling deterministically"
     )
     p.add_argument(
         "--inputs",
@@ -244,13 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--seed", type=int, default=None, help="shuffle seed")
-    p.set_defaults(func=cmd_merge)
 
-    p = sub.add_parser(
-        "avg",
-        help="average checkpoint tensors elementwise",
-        formatter_class=fmt,
-    )
+    p = _add_command(sub, "avg", cmd_avg, "average checkpoint tensors elementwise")
     p.add_argument(
         "--inputs",
         nargs="+",
@@ -260,12 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
         "or the last 5 epochs)",
     )
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_avg)
 
-    p = sub.add_parser(
-        "lora-merge",
-        help="fold a low-rank adapter into base weights",
-        formatter_class=fmt,
+    p = _add_command(
+        sub, "lora-merge", cmd_lora_merge, "fold a low-rank adapter into base weights"
     )
     p.add_argument("--base", required=True, help="base checkpoint (TSF)")
     p.add_argument(
@@ -280,12 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="adapter scaling alpha",
     )
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_lora_merge)
 
-    p = sub.add_parser(
-        "prompts",
-        help="render chat documents into prompt/completion records",
-        formatter_class=fmt,
+    p = _add_command(
+        sub, "prompts", cmd_prompts, "render chat documents into prompt/completion records"
     )
     p.add_argument("--mode", choices=["stream", "context", "fewshot"], required=True)
     p.add_argument("--doc", required=True, help="chat document file (JSONL turns)")
@@ -305,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="----",
         help="record separator line for --format text",
     )
-    p.set_defaults(func=cmd_prompts)
 
     return parser
 
@@ -367,9 +350,9 @@ def cmd_mbr(args: argparse.Namespace) -> int:
     _info(args, f"selecting over {cset.num_segments} segments x {cset.num_systems} systems")
     matrices = mbr.segment_matrices(cset, spec, workers=args.workers)
     selection = mbr.selection_from_matrices(cset, matrices)
-    outputs = {args.out: segment_lines(selection.chosen)}
+    outputs = [(args.out, segment_lines(selection.chosen))]
     if args.matrix_out:
-        outputs[args.matrix_out] = mbr.format_matrix_dump(matrices).encode("utf-8")
+        outputs.append((args.matrix_out, mbr.format_matrix_dump(matrices).encode("utf-8")))
     write_outputs(outputs)
     return EXIT_OK
 
@@ -496,7 +479,7 @@ def cmd_prompts(args: argparse.Namespace) -> int:
             prompt.text + prompt.completion + "\n" + args.separator
             for _doc_id, _index, prompt in records
         ]
-    write_outputs({args.out: "".join(chunk + "\n" for chunk in chunks).encode("utf-8")})
+    write_outputs([(args.out, "".join(chunk + "\n" for chunk in chunks).encode("utf-8"))])
     return EXIT_OK
 
 

@@ -43,6 +43,8 @@ class CandidateSet(ValidatedRecord, _CandidateSet):
     def _check(self) -> None:
         require_aligned({"sources": len(self.sources), "candidates": len(self.candidates)})
         n = len(self.systems)
+        if n == 0:
+            raise DataError("a candidate set needs at least one system")
         for i, row in enumerate(self.candidates):
             if len(row) != n:
                 raise DataError(
@@ -225,6 +227,8 @@ def utility_matrix(
     row = cset.candidates[segment_index]
     src = cset.sources[segment_index]
     n = len(row)
+    if not spec.include_self and n < 2:
+        raise DataError("exclude-self selection needs at least 2 candidates")
     slot: dict[str, int] = {}
     for text in row:
         slot.setdefault(text, len(slot))
@@ -236,17 +240,15 @@ def utility_matrix(
     if not all(map(math.isfinite, scores)):
         raise DataError("scorer returned a score that is not a finite number")
     offsets = [slot[text] for text in row]
-    grid = [[scores[i * d + j] for j in offsets] for i in offsets]
-    means = []
-    for c in range(n):
-        refs = [r for r in range(n) if spec.include_self or r != c]
-        if not refs:
-            raise DataError("exclude-self selection needs at least 2 candidates")
-        means.append(sum(grid[c][r] for r in refs) / len(refs))
+    values = tuple(tuple(scores[i * d + j] for j in offsets) for i in offsets)
+    if spec.include_self:
+        means = [sum(r) / n for r in values]
+    else:
+        means = [sum(r[:c] + r[c + 1 :]) / (n - 1) for c, r in enumerate(values)]
     best = best_index(means)
     return UtilityMatrix(
         segment_index=segment_index,
-        values=tuple(tuple(r) for r in grid),
+        values=values,
         row_means=tuple(means),
         best_index=best,
         best_mean=means[best],

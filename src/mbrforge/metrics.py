@@ -24,11 +24,11 @@ builds it from per-order totals and clipped matches, corpus scores sum it
 per order, and native MBR builds it from memoised totals and matches.
 BLEU's hypothesis and reference lengths are the unigram totals.
 
-The n-gram builders run their inner loops in C: ``tokenize`` takes an
-alphanumeric word whole, word n-grams are zipped shifted slices, and each
-character order is the order below joined with the next character by
-``map``.  They yield the same grams as slicing position by position, so
-every statistic is the same integer and every score is bit-identical.
+One builder, ``ngram_counts``, counts the n-grams of both metrics: each
+order is the order below joined with the next unit by ``map``, in C, over
+characters for chrF and one-token tuples for BLEU.  It yields the same
+grams as slicing position by position, so every statistic is the same
+integer and every score is bit-identical.
 """
 
 from __future__ import annotations
@@ -83,11 +83,16 @@ def tokenize(text: str, scheme: str = "punctuation-split") -> TokenSequence:
     return tokens
 
 
-def ngram_counts(tokens: Sequence[str], order: int) -> Counter:
-    """Multiset of the ``order``-grams of a token sequence."""
-    if order < 1:
+def ngram_counts(units: Sequence, max_order: int) -> NgramCounts:
+    """N-gram counts of orders 1..max_order; order k+1 is order k plus the next unit."""
+    if max_order < 1:
         raise ValueError("n-gram order must be >= 1")
-    return Counter(zip(*(tokens[k:] for k in range(order))))
+    counts = [Counter(units)]
+    grams = units
+    for k in range(1, max_order):
+        grams = list(map(operator.add, grams, units[k:]))
+        counts.append(Counter(grams))
+    return tuple(counts)
 
 
 class _Score(NamedTuple):
@@ -128,7 +133,7 @@ def word_ngram_counts(tokens: Sequence[str]) -> NgramCounts:
     Built once per segment; BLEU statistics for any pairing follow from
     these counts alone.
     """
-    return tuple(ngram_counts(tokens, order) for order in range(1, BLEU_ORDER + 1))
+    return ngram_counts(list(zip(tokens)), BLEU_ORDER)  # one-token tuples
 
 
 def ngram_totals(counts: NgramCounts) -> tuple[int, ...]:
@@ -249,13 +254,7 @@ def corpus_bleu(
 
 def char_ngram_counts(segment: str) -> NgramCounts:
     """Character n-gram counts for orders 1..CHRF_ORDER, whitespace removed."""
-    chars = "".join(segment.split())
-    counts = [Counter(chars)]
-    grams: Sequence[str] = chars
-    for k in range(1, CHRF_ORDER):
-        grams = list(map(operator.add, grams, chars[k:]))  # order k+1 from order k
-        counts.append(Counter(grams))
-    return tuple(counts)
+    return ngram_counts("".join(segment.split()), CHRF_ORDER)
 
 
 def char_ngram_stats(hyp: str, ref: str) -> NgramStats:

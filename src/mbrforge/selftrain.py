@@ -191,11 +191,14 @@ def write_corpus(
     are in place, so that ``read_corpus`` reads the new pairs as "genuine".
     """
     src_path, tgt_path, meta_path = _corpus_files(Path(prefix))
-    outputs = {src_path: segment_lines(corpus.sources), tgt_path: segment_lines(corpus.targets)}
+    outputs = [
+        (src_path, segment_lines(corpus.sources)),
+        (tgt_path, segment_lines(corpus.targets)),
+    ]
     if write_meta:
-        outputs[meta_path] = segment_lines(corpus.provenance)
+        outputs.append((meta_path, segment_lines(corpus.provenance)))
     write_outputs(outputs, remove=() if write_meta else (meta_path,))
-    return list(outputs)
+    return [path for path, _data in outputs]
 
 
 def read_corpus(prefix: str | Path) -> ParallelCorpus:

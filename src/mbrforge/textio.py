@@ -11,9 +11,9 @@ from __future__ import annotations
 import os
 import stat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import AlignmentError, DataError
+from .errors import AlignmentError, DataError, UsageError
 
 
 def read_text(path: str | Path) -> str:
@@ -49,20 +49,44 @@ def segment_lines(segments: Sequence[str]) -> bytes:
     return text.encode("utf-8")
 
 
-def write_outputs(outputs: Mapping[str | Path, bytes], remove: Sequence[str | Path] = ()) -> None:
-    """Replace every output together, then unlink each path in ``remove`` if present.
+def _existing_mode(path: Path) -> int | None:
+    """Permission bits of an existing regular file, None if there is no file."""
+    try:
+        info = os.stat(path)
+    except FileNotFoundError:
+        return None
+    if stat.S_ISDIR(info.st_mode):
+        raise IsADirectoryError(f"{path}: is a directory")
+    if not stat.S_ISREG(info.st_mode):  # a FIFO or a device would be replaced
+        raise OSError(f"{path}: not a regular file")
+    return stat.S_IMODE(info.st_mode)
 
-    Each output is staged as a temp file beside its target; a target or
-    ``remove`` path that is a directory fails before any rename, and any
-    error deletes every temp file.  A new file gets 0o666 less the umask,
-    as from a plain ``open``; a replaced file keeps its mode.  A symbolic
-    link is written through: its target is replaced, the link kept.
+
+def write_outputs(
+    outputs: Sequence[tuple[str | Path, bytes]], remove: Sequence[str | Path] = ()
+) -> None:
+    """Replace every ``(path, data)`` output together, then unlink each ``remove`` path.
+
+    Before anything is written, each target must be a regular file or
+    absent, no two outputs may be one file and no ``remove`` path may be a
+    directory.  Each output is staged as a temp file beside its target, and
+    any error deletes every temp file.  A new file gets 0o666 less the
+    umask, as from a plain ``open``; a replaced file keeps its mode.  A
+    symbolic link is written through: its target is replaced, the link kept.
     """
+    targets: dict[Path, str | Path] = {}  # resolved target -> the output that names it
+    for target, _data in outputs:
+        path = Path(os.path.realpath(target))
+        if path in targets:
+            raise UsageError(f"outputs {targets[path]} and {target} are the same file")
+        targets[path] = target
+    modes = [_existing_mode(path) for path in targets]
+    for path in map(Path, remove):
+        if path.is_dir() and not path.is_symlink():  # unlink drops a link, not its target
+            raise IsADirectoryError(f"{path}: is a directory")
     staged: list[tuple[Path, Path]] = []  # (temp file, target)
     try:
-        for target, data in outputs.items():
-            path = Path(os.path.realpath(target))
-            mode = stat.S_IMODE(os.stat(path).st_mode) if path.exists() else None
+        for path, mode, (_target, data) in zip(targets, modes, outputs):
             tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
             # The kernel applies the umask to 0o666; O_EXCL never reuses a file.
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -71,9 +95,6 @@ def write_outputs(outputs: Mapping[str | Path, bytes], remove: Sequence[str | Pa
                 if mode is not None:
                     os.fchmod(fh.fileno(), mode)
                 fh.write(data)
-        for path in [path for _tmp, path in staged] + [Path(p) for p in remove]:
-            if path.is_dir() and not path.is_symlink():  # unlink drops a link, not its target
-                raise IsADirectoryError(f"{path}: is a directory")
         for tmp, path in staged:
             os.replace(tmp, path)
         for path in remove:
@@ -86,7 +107,7 @@ def write_outputs(outputs: Mapping[str | Path, bytes], remove: Sequence[str | Pa
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write one output through ``write_outputs``."""
-    write_outputs({path: data})
+    write_outputs([(path, data)])
 
 
 def require_aligned(counts: dict[str, int]) -> None:

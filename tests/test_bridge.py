@@ -308,12 +308,28 @@ class TestMisbehaviour:
             got = client.score(requests)
         assert got == [float(i) for i in range(6)]
 
-    def test_crash_without_restart_raises(self):
+    def test_restart_writes_one_warning_line(self, capfd):
+        requests = [ScoreRequest("s", str(i), "r") for i in range(6)]
+        with BridgeClient(double_config("crash-after", "3", batch_size=8)) as client:
+            assert client.score(requests) == [float(i) for i in range(6)]
+        assert capfd.readouterr().err.splitlines() == [
+            "WARNING mbrforge: scorer crashed (scorer closed its output mid-batch); "
+            "restarting it to replay 3 of 6 requests (batch starting at 0)"
+        ]
+
+    def test_call_without_a_crash_writes_nothing_to_stderr(self, capfd):
+        requests = [ScoreRequest("s", str(i), "r") for i in range(6)]
+        with BridgeClient(double_config("echo-mt", batch_size=4)) as client:
+            assert client.score(requests) == [float(i) for i in range(6)]
+        assert capfd.readouterr().err == ""
+
+    def test_crash_without_restart_raises(self, capfd):
         requests = [ScoreRequest("s", str(i), "r") for i in range(6)]
         config = double_config("crash-after", "3", batch_size=8, restart_on_failure=False)
         with BridgeClient(config) as client:
             with pytest.raises(BridgeCrashError, match="unanswered"):
                 client.score(requests)
+        assert capfd.readouterr().err == ""  # no restart, so no WARNING line
 
     def test_second_crash_is_fatal(self):
         requests = [ScoreRequest("s", str(i), "r") for i in range(6)]

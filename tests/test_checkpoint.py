@@ -66,6 +66,14 @@ class TestTensorStore:
         assert again == store
         assert again.serialize() == data
 
+    def test_stores_with_different_names_differ(self):
+        assert TensorStore({"w": f32([1.0])}) != TensorStore({"v": f32([1.0])})
+
+    def test_never_equals_another_type(self):
+        store = TensorStore({"w": f32([1.0])})
+        assert store != {"w": f32([1.0])}
+        assert store != store.serialize()
+
     def test_insertion_order_preserved(self):
         store = TensorStore()
         store.add("b", f32([1.0]))

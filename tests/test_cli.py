@@ -7,6 +7,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import time
@@ -484,6 +485,36 @@ class TestOutputsTogether:
                 "--out", str(tmp_path / "out.txt"),
                 "--matrix-out", str(tmp_path / "missing" / "m.tsv")]
         self.assert_nothing_changed(tmp_path, argv, capsys)
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same-name", "symlink"])
+    def test_mbr_out_and_matrix_out_are_one_file(self, tmp_path, cand_files, capsys, link):
+        src, a, b, c = cand_files
+        out = tmp_path / "o"
+        out.write_bytes(b"old selection\n")
+        matrix = tmp_path / "o2" if link else out
+        if link:
+            matrix.symlink_to(out)
+        before = files_in(tmp_path)
+        argv = ["mbr", "--src", str(src), "--cand", str(a), "--cand", str(b), "--cand", str(c),
+                "--out", str(out), "--matrix-out", str(matrix)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"mbrforge: error: outputs {out} and {matrix} are the same file\n"
+        )
+        assert files_in(tmp_path) == before
+
+    def test_mbr_out_is_a_fifo(self, tmp_path, cand_files, capsys):
+        src, a, b, c = cand_files
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        argv = ["mbr", "--src", str(src), "--cand", str(a), "--cand", str(b), "--cand", str(c),
+                "--out", str(fifo)]
+        assert cli.main(argv) == 5
+        assert capsys.readouterr().err == f"mbrforge: i/o error: {fifo}: not a regular file\n"
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.txt", "b.txt", "c.txt", "fifo", "src.txt"
+        ]
 
     @pytest.mark.parametrize("command", ["build-st", "build-bt"])
     def test_build_meta_is_a_directory(self, tmp_path, capsys, command):

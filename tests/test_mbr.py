@@ -183,6 +183,11 @@ class TestSpecValidation:
         with pytest.raises(DataError):
             CandidateSet(sources=("a",), systems=("s", "t"), candidates=(("x",),))
 
+    def test_candidate_set_needs_a_system(self):
+        # Before, this set was accepted and selection failed in max().
+        with pytest.raises(DataError, match="at least one system"):
+            CandidateSet(sources=("s",), systems=(), candidates=((),))
+
 
 class TestBestIndex:
     def test_tie_breaks_to_lowest(self):

@@ -177,6 +177,10 @@ class TestFewshot:
         prompt = render_fewshot(TOY_DEMOS, TOY_QUERY, ("English", "German"), k=0)
         assert prompt.text == "English: How much does it cost?\nGerman: "
 
+    def test_negative_k(self):
+        with pytest.raises(DataError, match="k must be >= 0, got -1"):
+            render_fewshot(TOY_DEMOS, TOY_QUERY, ("English", "German"), k=-1)
+
     def test_pool_too_small(self):
         with pytest.raises(DataError, match="need at least k=7 demonstrations, got 6"):
             render_fewshot(TOY_DEMOS, TOY_QUERY, ("English", "German"), k=7)

@@ -201,3 +201,18 @@ class TestParallelCorpus:
         assert corpus.sources == ("a", "b", "c")
         assert corpus.targets == ("x", "y", "z")
         assert len(corpus) == 3  # pairs, not fields
+
+    def test_equal_corpora_hash_alike(self):
+        corpus = ParallelCorpus((("a", "x"),), ("genuine",))
+        twin = ParallelCorpus((("a", "x"),), ("genuine",))
+        assert hash(corpus) == hash(twin)
+        assert len({corpus, twin}) == 1
+
+    def test_repr_shows_both_fields(self):
+        corpus = ParallelCorpus((("a", "x"),), ("self-train",))
+        assert repr(corpus) == "ParallelCorpus(pairs=(('a', 'x'),), provenance=('self-train',))"
+
+    def test_never_equals_another_type(self):
+        corpus = ParallelCorpus((("a", "x"),), ("genuine",))
+        assert corpus != (corpus.pairs, corpus.provenance)
+        assert corpus != corpus.pairs

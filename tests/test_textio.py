@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mbrforge.errors import AlignmentError
+from mbrforge.errors import AlignmentError, UsageError
 from mbrforge.textio import (
     atomic_write_bytes,
     read_aligned,
@@ -26,7 +26,7 @@ segments_st = st.lists(st.text(alphabet="ab c\t", max_size=10), max_size=10)
 
 def write_segments(path, segments) -> None:
     """Write one segment file the way the commands do."""
-    write_outputs({path: segment_lines(segments)})
+    write_outputs([(path, segment_lines(segments))])
 
 
 class TestReadSegments:
@@ -166,14 +166,14 @@ class TestWriteOutputs:
     def test_writes_every_output_and_removes(self, tmp_path):
         (tmp_path / "stale").write_bytes(b"old")
         write_outputs(
-            {tmp_path / "a": b"A", str(tmp_path / "b"): b"B"}, remove=[tmp_path / "stale"]
+            [(tmp_path / "a", b"A"), (str(tmp_path / "b"), b"B")], remove=[tmp_path / "stale"]
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
         assert (tmp_path / "a").read_bytes() == b"A"
         assert (tmp_path / "b").read_bytes() == b"B"
 
     def test_missing_remove_path_is_fine(self, tmp_path):
-        write_outputs({tmp_path / "a": b"A"}, remove=[tmp_path / "absent"])
+        write_outputs([(tmp_path / "a", b"A")], remove=[tmp_path / "absent"])
         assert [p.name for p in tmp_path.iterdir()] == ["a"]
 
     @pytest.mark.parametrize("last", ["missing/b", "dir"], ids=["missing-directory", "directory"])
@@ -182,7 +182,7 @@ class TestWriteOutputs:
         (tmp_path / "stale").write_bytes(b"old stale")
         (tmp_path / "dir").mkdir()
         with pytest.raises(OSError):
-            write_outputs({tmp_path / "a": b"new", tmp_path / last: b"new"},
+            write_outputs([(tmp_path / "a", b"new"), (tmp_path / last, b"new")],
                           remove=[tmp_path / "stale"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "dir", "stale"]
         assert (tmp_path / "a").read_bytes() == b"old a"
@@ -191,7 +191,30 @@ class TestWriteOutputs:
 
     def test_directory_target_is_named(self, tmp_path):
         with pytest.raises(IsADirectoryError, match=re.escape(str(tmp_path))):
-            write_outputs({tmp_path: b"x"})
+            write_outputs([(tmp_path, b"x")])
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same-name", "symlink"])
+    def test_two_outputs_that_are_one_file_are_refused(self, tmp_path, link):
+        out = tmp_path / "o"
+        out.write_bytes(b"old")
+        other = tmp_path / "o2" if link else out
+        if link:
+            other.symlink_to(out)
+        message = f"outputs {out} and {other} are the same file"
+        with pytest.raises(UsageError, match=re.escape(message)):
+            write_outputs([(out, b"selection"), (other, b"matrix")])
+        assert out.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["o", "o2"] if link else ["o"])
+
+    def test_fifo_target_is_refused(self, tmp_path):
+        (tmp_path / "a").write_bytes(b"old a")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        with pytest.raises(OSError, match=re.escape(f"{fifo}: not a regular file")):
+            write_outputs([(tmp_path / "a", b"new"), (fifo, b"new")])
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert (tmp_path / "a").read_bytes() == b"old a"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "fifo"]
 
     def test_error_while_staging_deletes_staged_files(self, tmp_path, monkeypatch):
         real_fdopen = os.fdopen
@@ -206,7 +229,7 @@ class TestWriteOutputs:
 
         monkeypatch.setattr(os, "fdopen", fdopen_failing_second)
         with pytest.raises(OSError, match="disk full"):
-            write_outputs({tmp_path / "a": b"A", tmp_path / "b": b"B"})
+            write_outputs([(tmp_path / "a", b"A"), (tmp_path / "b", b"B")])
         assert list(tmp_path.iterdir()) == []
 
 
