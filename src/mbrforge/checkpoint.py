@@ -36,8 +36,8 @@ LORA_B_SUFFIX = ".lora_B"
 class TensorStore:
     """Ordered map from tensor name to a float32 array.
 
-    Names must be unique, non-empty, and free of TAB/LF (they have to fit
-    in a header line); every value must be finite.
+    Names must be unique, non-empty, valid UTF-8 and free of TAB/LF (they
+    have to fit in a header line); every value must be finite.
     """
 
     def __init__(self, entries: Mapping[str, np.ndarray] | None = None):
@@ -51,6 +51,10 @@ class TensorStore:
             raise DataError(f"duplicate tensor name: {name!r}")
         if name == "" or "\t" in name or "\n" in name:
             raise DataError(f"invalid tensor name: {name!r}")
+        try:
+            name.encode("utf-8")  # the header line is UTF-8
+        except UnicodeEncodeError:
+            raise DataError(f"tensor name is not valid UTF-8: {name!r}") from None
         arr = np.asarray(values, dtype=np.float32)
         if arr.ndim == 0:
             raise DataError(f"tensor {name!r} must have at least one dimension")
@@ -213,33 +217,25 @@ def adapter_from_store(store: TensorStore, alpha: float) -> LoraAdapter:
     Each factor needs its partner.  The rank is taken from the A factors
     (their row count).
     """
+    partner = {LORA_A_SUFFIX: LORA_B_SUFFIX, LORA_B_SUFFIX: LORA_A_SUFFIX}
     targets = []
-    rank: int | None = None
+    stray = []
     for name in store.names():
-        if name.endswith(LORA_B_SUFFIX):
-            a_name = name[: -len(LORA_B_SUFFIX)] + LORA_A_SUFFIX
-            if a_name not in store:
-                raise DataError(f"adapter has {name!r} but no {a_name!r}")
-        if not name.endswith(LORA_A_SUFFIX):
+        suffix = next((s for s in partner if name.endswith(s)), None)
+        if suffix is None:
+            stray.append(name)
             continue
-        base_name = name[: -len(LORA_A_SUFFIX)]
-        b_name = base_name + LORA_B_SUFFIX
-        if b_name not in store:
-            raise DataError(f"adapter has {name!r} but no {b_name!r}")
-        a = store[name]
-        b = store[b_name]
-        if rank is None:
-            rank = int(a.shape[0])
-        targets.append((base_name, a, b))
+        base_name = name[: -len(suffix)]
+        other = base_name + partner[suffix]
+        if other not in store:
+            raise DataError(f"adapter has {name!r} but no {other!r}")
+        if suffix == LORA_A_SUFFIX:
+            targets.append((base_name, store[name], store[other]))
     if not targets:
         raise DataError("adapter store contains no *.lora_A / *.lora_B pairs")
-    stray = [
-        n
-        for n in store.names()
-        if not n.endswith(LORA_A_SUFFIX) and not n.endswith(LORA_B_SUFFIX)
-    ]
     if stray:
         raise DataError(f"adapter store has non-adapter tensors: {stray}")
+    rank = int(targets[0][1].shape[0])
     return LoraAdapter(rank=rank, alpha=alpha, targets=tuple(targets))
 
 

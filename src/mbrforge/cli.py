@@ -25,7 +25,7 @@ from .errors import (
     MbrforgeError,
     UsageError,
 )
-from .textio import read_aligned, segment_lines, write_outputs
+from .textio import check_outputs, read_aligned, segment_lines, write_outputs
 
 if TYPE_CHECKING:
     from . import selftrain
@@ -321,6 +321,7 @@ def _filter_config(args: argparse.Namespace) -> selftrain.FilterConfig:
 def cmd_mbr(args: argparse.Namespace) -> int:
     from . import mbr  # each command imports the layers it runs, so start-up is cheap
 
+    bridge = None
     if args.utility == "external":
         import shlex
 
@@ -332,20 +333,16 @@ def cmd_mbr(args: argparse.Namespace) -> int:
             raise UsageError(f"cannot split --external-cmd: {exc}") from None
         if not command:
             raise UsageError("--utility external requires --external-cmd")
-        spec = mbr.UtilitySpec(
-            kind="external",
-            include_self=args.include_self,
-            bridge=BridgeConfig(
-                command=command,
-                batch_size=args.bridge_batch_size,
-                timeout=args.bridge_timeout,
-                restart_on_failure=args.bridge_restart,
-            ),
+        bridge = BridgeConfig(
+            command=command,
+            batch_size=args.bridge_batch_size,
+            timeout=args.bridge_timeout,
+            restart_on_failure=args.bridge_restart,
         )
-    else:
-        spec = mbr.UtilitySpec(
-            kind=f"native-{args.utility}", include_self=args.include_self
-        )
+    kind = "external" if bridge is not None else f"native-{args.utility}"
+    spec = mbr.UtilitySpec(kind=kind, include_self=args.include_self, bridge=bridge)
+    # A bad output path fails now, not after every segment has been scored.
+    check_outputs([args.out, args.matrix_out] if args.matrix_out else [args.out])
     cset = mbr.load_candidates(args.cand, args.src)
     _info(args, f"selecting over {cset.num_segments} segments x {cset.num_systems} systems")
     matrices = mbr.segment_matrices(cset, spec, workers=args.workers)
@@ -365,19 +362,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise DataError("cannot score an empty corpus")
     if args.metric == "bleu":
         smoothing = args.smoothing or ("add-k" if args.sentence_level else "none")
-        hyp_tokens = [metrics.tokenize(h, args.tokenize) for h in hyps]
-        ref_tokens = [metrics.tokenize(r, args.tokenize) for r in refs]
-        if args.sentence_level:
-            values = [
-                metrics.sentence_bleu(hyp, [ref], smoothing=smoothing).value
-                for hyp, ref in zip(hyp_tokens, ref_tokens)
-            ]
-        else:
-            values = [metrics.corpus_bleu(hyp_tokens, ref_tokens, smoothing=smoothing).value]
-    elif args.sentence_level:
-        values = [metrics.sentence_chrf(hyp, ref).value for hyp, ref in zip(hyps, refs)]
+        hyps = [metrics.tokenize(h, args.tokenize) for h in hyps]
+        refs = [metrics.tokenize(r, args.tokenize) for r in refs]
+        sentence, corpus = (
+            lambda hyp, ref: metrics.sentence_bleu(hyp, [ref], smoothing=smoothing),
+            lambda hyps, refs: metrics.corpus_bleu(hyps, refs, smoothing=smoothing),
+        )
     else:
-        values = [metrics.corpus_chrf(hyps, refs).value]
+        sentence, corpus = metrics.sentence_chrf, metrics.corpus_chrf
+    if args.sentence_level:
+        values = [sentence(hyp, ref).value for hyp, ref in zip(hyps, refs)]
+    else:
+        values = [corpus(hyps, refs).value]
     for value in values:
         print(f"{value:.2f}")
     return EXIT_OK

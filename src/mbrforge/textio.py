@@ -54,6 +54,8 @@ def _existing_mode(path: Path) -> int | None:
     try:
         info = os.stat(path)
     except FileNotFoundError:
+        if not path.parent.is_dir():  # else staging would fail, naming a temp file
+            raise FileNotFoundError(f"{path.parent}: no such directory") from None
         return None
     if stat.S_ISDIR(info.st_mode):
         raise IsADirectoryError(f"{path}: is a directory")
@@ -62,31 +64,45 @@ def _existing_mode(path: Path) -> int | None:
     return stat.S_IMODE(info.st_mode)
 
 
+def check_outputs(
+    paths: Sequence[str | Path], remove: Sequence[str | Path] = ()
+) -> dict[Path, int | None]:
+    """Check that every output in ``paths`` can be replaced and each ``remove`` path unlinked.
+
+    Each target must be a regular file or absent in a directory that
+    exists, no two outputs may be one file and no ``remove`` path may be
+    a directory.  Returns each resolved target with the mode it keeps
+    (None for a new file), in the order of ``paths``.
+    """
+    targets: dict[Path, str | Path] = {}  # resolved target -> the output that names it
+    for target in paths:
+        path = Path(os.path.realpath(target))
+        if path in targets:
+            raise UsageError(f"outputs {targets[path]} and {target} are the same file")
+        targets[path] = target
+    modes = {path: _existing_mode(path) for path in targets}
+    for path in map(Path, remove):
+        if path.is_dir() and not path.is_symlink():  # unlink drops a link, not its target
+            raise IsADirectoryError(f"{path}: is a directory")
+    return modes
+
+
 def write_outputs(
     outputs: Sequence[tuple[str | Path, bytes]], remove: Sequence[str | Path] = ()
 ) -> None:
     """Replace every ``(path, data)`` output together, then unlink each ``remove`` path.
 
-    Before anything is written, each target must be a regular file or
-    absent, no two outputs may be one file and no ``remove`` path may be a
-    directory.  Each output is staged as a temp file beside its target, and
-    any error deletes every temp file.  A new file gets 0o666 less the
-    umask, as from a plain ``open``; a replaced file keeps its mode.  A
-    symbolic link is written through: its target is replaced, the link kept.
+    ``check_outputs`` runs first, so before anything is written a bad
+    target stops the command.  Each output is staged as a temp file
+    beside its target, and any error deletes every temp file.  A new file
+    gets 0o666 less the umask, as from a plain ``open``; a replaced file
+    keeps its mode.  A symbolic link is written through: its target is
+    replaced, the link kept.
     """
-    targets: dict[Path, str | Path] = {}  # resolved target -> the output that names it
-    for target, _data in outputs:
-        path = Path(os.path.realpath(target))
-        if path in targets:
-            raise UsageError(f"outputs {targets[path]} and {target} are the same file")
-        targets[path] = target
-    modes = [_existing_mode(path) for path in targets]
-    for path in map(Path, remove):
-        if path.is_dir() and not path.is_symlink():  # unlink drops a link, not its target
-            raise IsADirectoryError(f"{path}: is a directory")
+    modes = check_outputs([target for target, _data in outputs], remove)
     staged: list[tuple[Path, Path]] = []  # (temp file, target)
     try:
-        for path, mode, (_target, data) in zip(targets, modes, outputs):
+        for (path, mode), (_target, data) in zip(modes.items(), outputs):
             tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
             # The kernel applies the umask to 0o666; O_EXCL never reuses a file.
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

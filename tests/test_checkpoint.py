@@ -98,6 +98,10 @@ class TestTensorStore:
         for bad in ("", "a\tb", "a\nb"):
             with pytest.raises(DataError, match="invalid tensor name"):
                 TensorStore({bad: f32([1.0])})
+        # A lone surrogate would pass add() and fail serialize() with UnicodeEncodeError.
+        with pytest.raises(DataError, match="not valid UTF-8"):
+            store.add("w\ud800", f32([1.0]))
+        assert store.names() == ["w"]
 
     def test_value_validation(self):
         with pytest.raises(DataError, match="at least one dimension"):

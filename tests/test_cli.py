@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import os
+import shlex
 import shutil
 import stat
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mbrforge import cli
+from mbrforge import cli, mbr, metrics
 from mbrforge.bridge import MAX_BATCH_SIZE, MAX_TIMEOUT, BridgeConfig
 from mbrforge.checkpoint import TensorStore
 from mbrforge.errors import EXIT_OK, DataError
@@ -330,6 +331,36 @@ class TestEvalCommand:
         assert result.stderr == "mbrforge: i/o error: [Errno 28] No space left on device\n"
 
 
+class TestEvalFlags:
+    # Line 1 has punctuation and no 2-gram overlap, so both flags change BLEU.
+    HYPS = ["a, x b.", "the cat sat on the mat!"]
+    REFS = ["a b, c.", "the cat sat on the mat."]
+
+    @pytest.mark.parametrize("tokenize", ["whitespace", "punctuation-split"])
+    @pytest.mark.parametrize("smoothing", ["none", "add-k"])
+    @pytest.mark.parametrize("level", ["corpus", "sentence"])
+    @pytest.mark.parametrize("metric", ["bleu", "chrf"])
+    def test_output_is_the_metric_call(self, tmp_path, capsys, metric, level, smoothing, tokenize):
+        hyp = write_lines(tmp_path / "hyp.txt", self.HYPS)
+        ref = write_lines(tmp_path / "ref.txt", self.REFS)
+        argv = ["eval", "--hyp", str(hyp), "--ref", str(ref), "--metric", metric,
+                "--smoothing", smoothing, "--tokenize", tokenize]
+        assert cli.main(argv + (["--sentence-level"] if level == "sentence" else [])) == EXIT_OK
+        if metric == "bleu":
+            hyps = [metrics.tokenize(h, tokenize) for h in self.HYPS]
+            refs = [metrics.tokenize(r, tokenize) for r in self.REFS]
+            if level == "sentence":
+                scores = [metrics.sentence_bleu(h, [r], smoothing=smoothing)
+                          for h, r in zip(hyps, refs)]
+            else:
+                scores = [metrics.corpus_bleu(hyps, refs, smoothing=smoothing)]
+        elif level == "sentence":
+            scores = [metrics.sentence_chrf(h, r) for h, r in zip(self.HYPS, self.REFS)]
+        else:
+            scores = [metrics.corpus_chrf(self.HYPS, self.REFS)]
+        assert capsys.readouterr().out == "".join(f"{s.value:.2f}\n" for s in scores)
+
+
 class TestCorpusCommands:
     def test_build_st(self, tmp_path):
         src = write_lines(tmp_path / "mono.txt", ["s one", "s two"])
@@ -551,6 +582,45 @@ class TestOutputsTogether:
         argv = ["build-st", "--src", str(mono), "--mt", str(mt), "--out-prefix",
                 str(tmp_path / "c"), "--no-meta"]
         self.assert_nothing_changed(tmp_path, argv, capsys)
+
+
+class TestMbrChecksOutputsFirst:
+    """``mbr`` refuses an output it cannot write before it reads or scores anything."""
+
+    @pytest.fixture(autouse=True)
+    def no_loading(self, monkeypatch):
+        def load_candidates(*args):
+            raise AssertionError("mbr read its inputs before checking its outputs")
+
+        monkeypatch.setattr(mbr, "load_candidates", load_candidates)
+
+    @staticmethod
+    def run(cand_files, out, *extra) -> int:
+        src, a, b, c = cand_files
+        return cli.main(["mbr", "--src", str(src), "--cand", str(a), "--cand", str(b),
+                         "--cand", str(c), "--out", str(out), *extra])
+
+    def test_out_and_matrix_out_are_one_file(self, tmp_path, cand_files, capsys):
+        out = tmp_path / "o"
+        assert self.run(cand_files, out, "--matrix-out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"mbrforge: error: outputs {out} and {out} are the same file\n"
+        )
+
+    def test_out_is_a_fifo(self, tmp_path, cand_files, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        assert self.run(cand_files, fifo) == 5
+        assert capsys.readouterr().err == f"mbrforge: i/o error: {fifo}: not a regular file\n"
+
+    def test_matrix_out_in_a_missing_directory(self, tmp_path, cand_files, capsys):
+        missing = tmp_path / "missing"
+        out = tmp_path / "out.txt"
+        assert self.run(cand_files, out, "--matrix-out", str(missing / "m.tsv")) == 5
+        err = capsys.readouterr().err
+        assert err == f"mbrforge: i/o error: {missing}: no such directory\n"
+        assert ".tmp" not in err
+        assert not out.exists()
 
 
 BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
@@ -1079,6 +1149,21 @@ class TestVerbose:
         )
         assert result.returncode == 0, result.stderr
         assert result.stderr == expected
+
+
+class TestReadme:
+    def test_command_lines_parse(self):
+        # A renamed or removed flag fails here instead of leaving stale docs.
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Command line\n", 1)[1]
+        block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("mbrforge ")]
+        assert len(lines) >= 8
+        parser = cli.build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line)[1:])
+            assert callable(args.func), line
 
 
 class TestEntryPoints:
