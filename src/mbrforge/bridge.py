@@ -270,8 +270,9 @@ def run_scorer_loop(
     """Serve the wire protocol; for scorer scripts and test doubles.
 
     Reads UTF-8 request lines until EOF and answers each request with
-    ``score_fn(request)`` formatted with repr precision, and each blank
-    line with a blank line.  Every line written is flushed at once.
+    ``repr(float(score_fn(request)))``, so a numpy or torch scalar is
+    written as a plain number, and each blank line with a blank line.
+    Every line written is flushed at once.
     """
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else sys.stdout.buffer
@@ -279,6 +280,6 @@ def run_scorer_loop(
         line = line.rstrip(b"\n")
         if line:
             request = decode_request(line.decode("utf-8"))
-            line = f"{score_fn(request)!r}".encode()
+            line = repr(float(score_fn(request))).encode()
         stdout.write(line + b"\n")
         stdout.flush()

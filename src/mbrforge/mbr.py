@@ -301,14 +301,11 @@ def segment_matrices(
 def selection_from_matrices(
     cset: CandidateSet, matrices: Sequence[UtilityMatrix]
 ) -> MbrSelection:
-    chosen = []
-    indices = []
-    utilities = []
-    for matrix in matrices:
-        indices.append(matrix.best_index)
-        utilities.append(matrix.best_mean)
-        chosen.append(cset.candidates[matrix.segment_index][matrix.best_index])
-    return MbrSelection(tuple(chosen), tuple(indices), tuple(utilities))
+    return MbrSelection(
+        chosen=tuple(cset.candidates[m.segment_index][m.best_index] for m in matrices),
+        indices=tuple(m.best_index for m in matrices),
+        expected_utilities=tuple(m.best_mean for m in matrices),
+    )
 
 
 def mbr_decode(
@@ -327,11 +324,9 @@ def format_matrix_dump(matrices: Sequence[UtilityMatrix]) -> str:
 
     Reals are rendered with 6 decimal places.
     """
-    lines = []
-    for matrix in matrices:
-        for c, row in enumerate(matrix.values):
-            cells = [str(matrix.segment_index), str(c)]
-            cells.extend(f"{v:.6f}" for v in row)
-            cells.append(f"{matrix.row_means[c]:.6f}")
-            lines.append("\t".join(cells))
-    return "".join(line + "\n" for line in lines)
+    return "".join(
+        "\t".join([str(matrix.segment_index), str(c), *(f"{v:.6f}" for v in row), f"{mean:.6f}"])
+        + "\n"
+        for matrix in matrices
+        for c, (row, mean) in enumerate(zip(matrix.values, matrix.row_means))
+    )

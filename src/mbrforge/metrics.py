@@ -205,30 +205,19 @@ def score_from_bleu_stats(stats: NgramStats, smoothing: str = "none") -> MetricS
         # Empty hypothesis: 0 against any real reference, vacuously perfect
         # against an empty one (keeps corpus micro-averaging total).
         return MetricScore(100.0 if ref_len == 0 else 0.0)
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    k = ADD_K if smoothing == "add-k" else 0  # unsmoothed stays int / int
     log_sum = 0.0
-    included = 0
-    zero_hit = False
+    included = 0  # at least order 1, whose total is hyp_len
     for total, _ref_total, match in stats:
         if total == 0:
             continue
-        if smoothing == "add-k":
-            p = (match + ADD_K) / (total + ADD_K)
-        else:
-            p = match / total
+        p = (match + k) / (total + k)
+        if p == 0.0:  # only without smoothing
+            return MetricScore(0.0, brevity_penalty=bp)
+        log_sum += math.log(p)
         included += 1
-        if p == 0.0:
-            zero_hit = True
-        else:
-            log_sum += math.log(p)
-    if hyp_len >= ref_len:
-        bp = 1.0
-    else:
-        bp = math.exp(1.0 - ref_len / hyp_len)
-    if included == 0 or zero_hit:
-        value = 0.0
-    else:
-        value = 100.0 * bp * math.exp(log_sum / included)
-    return MetricScore(min(value, 100.0), brevity_penalty=bp)
+    return MetricScore(min(100.0 * bp * math.exp(log_sum / included), 100.0), brevity_penalty=bp)
 
 
 def sentence_bleu(

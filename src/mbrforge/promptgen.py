@@ -40,6 +40,16 @@ _STREAM_QUERY = _CONTEXT_LINE + ", Natural {0.tgt_lang}: "
 _CONTEXT_QUERY = "Natural {0.src_lang}: {0.source}, Natural {0.tgt_lang}: "
 
 
+def _check_text(name: str, value: object) -> None:
+    """Raise a DataError unless ``value`` is a str that encodes as UTF-8."""
+    if not isinstance(value, str):
+        raise DataError(f"field {name!r} must be a string, got {type(value).__name__}")
+    try:
+        value.encode()
+    except UnicodeEncodeError as exc:  # a lone surrogate, as from a \ud800-style escape
+        raise DataError(f"field {name!r} is not valid UTF-8: {exc.reason}") from None
+
+
 class _ChatTurn(NamedTuple):
     speaker: str
     src_lang: str
@@ -50,9 +60,14 @@ class _ChatTurn(NamedTuple):
 
 
 class ChatTurn(ValidatedRecord, _ChatTurn):
+    """One turn; every field is a UTF-8 encodable str, and ``reference`` may be None."""
+
     __slots__ = ()
 
     def _check(self) -> None:
+        for name, value in zip(self._fields, self):
+            if value is not None or name != "reference":
+                _check_text(name, value)
         if self.speaker not in SPEAKERS:
             raise DataError(f"unknown speaker: {self.speaker!r}")
         if self.src_lang == self.tgt_lang:
@@ -283,22 +298,9 @@ def read_chat_documents(path: str | Path) -> list[ChatDocument]:
             raise DataError(
                 f"{where}: turn_index must be an integer, got {type(turn_index).__name__}"
             )
-        if record.get("reference") is not None:
-            fields["reference"] = record["reference"]
-        for name, value in fields.items():
-            if not isinstance(value, str):
-                raise DataError(
-                    f"{where}: field {name!r} must be a string, got {type(value).__name__}"
-                )
-        for name, value in (("doc_id", doc_id), *fields.items()):
-            try:
-                value.encode()
-            except UnicodeEncodeError as exc:  # a lone surrogate from a \ud800-style escape
-                raise DataError(
-                    f"{where}: field {name!r} is not valid UTF-8: {exc.reason}"
-                ) from None
         try:
-            turn = ChatTurn(**fields)
+            _check_text("doc_id", doc_id)
+            turn = ChatTurn(**fields, reference=record.get("reference"))
         except DataError as exc:
             raise DataError(f"{where}: {exc}") from exc
         turns = grouped.setdefault(doc_id, {})

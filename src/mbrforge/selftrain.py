@@ -162,19 +162,13 @@ def merge_corpora(
     """Concatenate corpora, optionally shuffling with a fixed PRNG.
 
     The shuffle uses Python's Mersenne-Twister ``random.Random(seed)``
-    Fisher-Yates, so a given seed always yields the same order.
+    Fisher-Yates, so a given seed always yields the same order.  Each pair
+    moves together with its provenance tag.
     """
-    pairs: list[tuple[str, str]] = []
-    provenance: list[str] = []
-    for corpus in corpora:
-        pairs.extend(corpus.pairs)
-        provenance.extend(corpus.provenance)
+    tagged = [item for corpus in corpora for item in zip(corpus.pairs, corpus.provenance)]
     if shuffle_seed is not None:
-        order = list(range(len(pairs)))
-        random.Random(shuffle_seed).shuffle(order)
-        pairs = [pairs[i] for i in order]
-        provenance = [provenance[i] for i in order]
-    return ParallelCorpus(tuple(pairs), tuple(provenance))
+        random.Random(shuffle_seed).shuffle(tagged)
+    return ParallelCorpus(tuple(pair for pair, _ in tagged), tuple(tag for _, tag in tagged))
 
 
 def _corpus_files(prefix: Path) -> tuple[Path, ...]:

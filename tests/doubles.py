@@ -57,6 +57,11 @@ def main() -> None:
         # Echo the mt number, then keep running after the end of input.
         run_scorer_loop(lambda req: float(req.mt))
         time.sleep(30)
+    elif mode == "numpy":
+        # Reply with a numpy scalar, as neural metrics commonly do.
+        import numpy
+
+        run_scorer_loop(lambda req: numpy.float64(len(req.mt)))
     elif mode == "chrf":
         run_scorer_loop(lambda req: sentence_chrf(req.mt, req.ref).value)
     elif mode == "garbage":

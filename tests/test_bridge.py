@@ -13,6 +13,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -154,6 +155,12 @@ class TestScorerLoop:
         )
         assert stdout.getvalue() == b"5.0\n3.0\n\n"
 
+    def test_numpy_scalar_is_written_as_a_float(self):
+        stdin = io.BytesIO(encode_batch([ScoreRequest("s", "m", "r")]))
+        stdout = io.BytesIO()
+        run_scorer_loop(lambda req: np.float32(0.1), stdin, stdout)
+        assert stdout.getvalue() == b"0.10000000149011612\n\n"
+
 
 class TestRepoScorers:
     """Every scorer in the repo ends each batch's replies with a blank line."""
@@ -192,6 +199,11 @@ class TestClient:
         with BridgeClient(double_config("constant", "0.5")) as client:
             got = client.score([ScoreRequest("s", f"m{i}", "r") for i in range(5)])
         assert got == [0.5] * 5
+
+    def test_numpy_scorer(self):
+        with BridgeClient(double_config("numpy")) as client:
+            got = client.score([ScoreRequest("s", mt, "r") for mt in ("abc", "", "de")])
+        assert got == [3.0, 0.0, 2.0]
 
     def test_mt_token_scorer(self):
         with BridgeClient(double_config("mt-tokens")) as client:

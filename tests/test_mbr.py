@@ -26,6 +26,7 @@ from mbrforge.mbr import (
     make_scorer,
     mbr_decode,
     segment_matrices,
+    selection_from_matrices,
     utility_matrix,
 )
 from mbrforge.metrics import tokenize
@@ -474,3 +475,43 @@ class TestSelection:
         cset = single_segment("a", "b")
         mbr_decode(cset, UtilitySpec(), scorer_factory=factory)
         assert closed == [True]
+
+
+class TestTwoSegmentResults:
+    """Frozen dump and selection of two segments, the second exclude-self."""
+
+    def matrices(self):
+        def score(triples):
+            return [len(mt) + len(ref) / 8 for _src, mt, ref in triples]
+
+        cset = CandidateSet(
+            sources=("s0", "s1"),
+            systems=("a", "b", "c"),
+            candidates=(("xx", "y", "xx"), ("p", "qqq", "rr")),
+        )
+        return cset, [
+            utility_matrix(cset, 0, UtilitySpec(), scorer=score),
+            utility_matrix(cset, 1, UtilitySpec(include_self=False), scorer=score),
+        ]
+
+    def test_frozen_dump(self):
+        _cset, matrices = self.matrices()
+        assert format_matrix_dump(matrices) == (
+            "0\t0\t2.250000\t2.125000\t2.250000\t2.208333\n"
+            "0\t1\t1.250000\t1.125000\t1.250000\t1.208333\n"
+            "0\t2\t2.250000\t2.125000\t2.250000\t2.208333\n"
+            "1\t0\t1.125000\t1.375000\t1.250000\t1.312500\n"
+            "1\t1\t3.125000\t3.375000\t3.250000\t3.187500\n"
+            "1\t2\t2.125000\t2.375000\t2.250000\t2.250000\n"
+        )
+
+    def test_frozen_selection(self):
+        cset, matrices = self.matrices()
+        assert selection_from_matrices(cset, matrices) == MbrSelection(
+            chosen=("xx", "qqq"), indices=(0, 1), expected_utilities=(53 / 24, 3.1875)
+        )
+
+    def test_empty(self):
+        cset, _matrices = self.matrices()
+        assert format_matrix_dump([]) == ""
+        assert selection_from_matrices(cset, []) == MbrSelection((), (), ())

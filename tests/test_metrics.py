@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -342,6 +343,48 @@ class TestExactStatistics:
             sentence_bleu(tokenize(hyp), [tokenize(ref)], smoothing="add-k").value
             for _, hyp, ref in triples
         ]
+
+
+class TestExactScores:
+    """Scores equal the oracles' floats exactly, not only within a tolerance.
+
+    The oracles apply each formula in the library's operation order, so a
+    refactor that reorders a sum or a division shows up here.
+    """
+
+    VOCAB = ["a", "b", "c", "d", "e", "f"]
+
+    def random_tokens(self, rng):
+        return [rng.choice(self.VOCAB) for _ in range(rng.randint(0, 12))]
+
+    def random_text(self, rng):
+        return "".join(rng.choice("abc d") for _ in range(rng.randint(0, 25)))
+
+    def test_sentence_scores(self):
+        rng = random.Random(2024)
+        for trial in range(1500):
+            hyp = self.random_tokens(rng)
+            refs = [self.random_tokens(rng) for _ in range(rng.randint(1, 3))]
+            for smoothing in ("none", "add-k"):
+                got = sentence_bleu(hyp, refs, smoothing=smoothing).value
+                assert got == oracle_bleu(hyp, refs, smoothing=smoothing), (trial, smoothing)
+            hyp_text, ref_text = self.random_text(rng), self.random_text(rng)
+            assert sentence_chrf(hyp_text, ref_text).value == oracle_chrf(hyp_text, ref_text)
+
+    def test_corpus_scores(self):
+        rng = random.Random(2025)
+        for trial in range(100):
+            m = rng.randint(1, 6)
+            hyps = [self.random_tokens(rng) for _ in range(m)]
+            refs = [self.random_tokens(rng) for _ in range(m)]
+            for smoothing in ("none", "add-k"):
+                got = corpus_bleu(hyps, refs, smoothing=smoothing).value
+                assert got == oracle_corpus_bleu(hyps, refs, smoothing=smoothing), trial
+            hyp_texts = [self.random_text(rng) for _ in range(m)]
+            ref_texts = [self.random_text(rng) for _ in range(m)]
+            assert corpus_chrf(hyp_texts, ref_texts).value == oracle_corpus_chrf(
+                hyp_texts, ref_texts
+            ), trial
 
 
 class TestValidation:

@@ -251,6 +251,24 @@ class TestTurnValidation:
         with pytest.raises(DataError, match="source"):
             make_turn(source="")
 
+    @pytest.mark.parametrize(
+        "field, value, type_name",
+        [("speaker", 0, "int"), ("source", ["x"], "list"), ("mt", 5, "int"),
+         ("reference", 7, "int"), ("src_lang", None, "NoneType")],
+    )
+    def test_fields_must_be_strings(self, field, value, type_name):
+        with pytest.raises(DataError, match=f"field {field!r} must be a string, got {type_name}"):
+            make_turn(**{field: value})
+
+    @pytest.mark.parametrize("field", ["source", "mt", "reference", "tgt_lang"])
+    def test_fields_must_be_utf8(self, field):
+        with pytest.raises(DataError, match=f"field {field!r} is not valid UTF-8: surrogates"):
+            make_turn(**{field: "hi \ud800 there"})
+
+    def test_type_checked_before_the_other_rules(self):
+        with pytest.raises(DataError, match="field 'mt' must be a string"):
+            make_turn(speaker="robot", mt=5)
+
     def test_document_needs_turns(self):
         with pytest.raises(DataError, match="no turns"):
             ChatDocument(doc_id="d", turns=())

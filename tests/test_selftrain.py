@@ -143,6 +143,26 @@ class TestMerge:
         for pair, tag in zip(merged.pairs, merged.provenance):
             assert origin[pair] == tag
 
+    def test_shuffle_order_is_pinned(self):
+        # The order a seed gives is part of the determinism contract.
+        corpora = [
+            build_st_corpus(["s1", "s2", "s3"], ["t1", "t2", "t3"]),
+            build_bt_corpus(["z1", "z2"], ["b1", "b2"], tag="<BT>"),
+            ParallelCorpus((("g1", "h1"), ("g2", "h2"), ("g3", "h3")), ("genuine",) * 3),
+        ]
+        merged = merge_corpora(corpora, shuffle_seed=13)
+        assert merged.pairs == (
+            ("<BT> b1", "z1"), ("s1", "t1"), ("g2", "h2"), ("g3", "h3"),
+            ("s2", "t2"), ("g1", "h1"), ("s3", "t3"), ("<BT> b2", "z2"),
+        )
+        assert merged.provenance == (
+            "back-translate", "self-train", "genuine", "genuine",
+            "self-train", "genuine", "self-train", "back-translate",
+        )
+
+    def test_merge_of_nothing_is_empty(self):
+        assert merge_corpora([], shuffle_seed=13) == ParallelCorpus((), ())
+
     @given(st.integers(0, 2**31), st.lists(pair_st, max_size=10))
     def test_shuffle_is_a_permutation(self, seed, pairs):
         corpus = ParallelCorpus(tuple(pairs), ("genuine",) * len(pairs))
