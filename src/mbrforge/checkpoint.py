@@ -93,24 +93,25 @@ class TensorStore:
         )
 
     def serialize(self) -> bytes:
-        header = [TSF_MAGIC + b"\n"]
-        payload = []
+        parts = [TSF_MAGIC + b"\n"]
         for name, arr in self._entries.items():
             dims = ",".join(str(d) for d in arr.shape)
-            header.append(f"{name}\tf32\t{dims}\n".encode("utf-8"))
-            payload.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        header.append(b"\n")
-        return b"".join(header) + b"".join(payload)
+            parts.append(f"{name}\tf32\t{dims}\n".encode("utf-8"))
+        parts.append(b"\n")
+        # bytes.join reads the arrays through the buffer protocol: one copy, into the result.
+        parts.extend(np.ascontiguousarray(arr, dtype="<f4") for arr in self._entries.values())
+        return b"".join(parts)
 
     @classmethod
     def parse(cls, data: bytes) -> "TensorStore":
+        """Parse a container into read-only tensors that are views of ``bytes(data)``."""
         if not data.startswith(TSF_MAGIC + b"\n"):
             raise DataError("not a TSF container (bad magic)")
         header_end = data.find(b"\n\n", len(TSF_MAGIC))
         if header_end < 0:
             raise DataError("truncated TSF header (no blank line)")
         header = data[len(TSF_MAGIC) + 1 : header_end]
-        body = data[header_end + 2 :]
+        body = memoryview(bytes(data))[header_end + 2 :]
         store = cls()
         offset = 0
         lines = header.split(b"\n") if header else []
@@ -173,9 +174,9 @@ def average_checkpoints(stores: Sequence[TensorStore]) -> TensorStore:
                 )
     averaged = TensorStore()
     for name, arr in first.items():
-        acc = np.zeros(arr.shape, dtype=np.float64)
-        for store in stores:
-            acc += store[name].astype(np.float64)
+        acc = arr.astype(np.float64)  # not zeros: 0.0 + -0.0 would drop the sign
+        for store in stores[1:]:
+            acc += store[name]
         averaged.add(name, (acc / len(stores)).astype(np.float32))
     return averaged
 
@@ -200,7 +201,11 @@ class LoraAdapter(ValidatedRecord, _LoraAdapter):
             raise DataError(f"rank must be positive, got {self.rank}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise DataError(f"alpha must be finite and positive, got {self.alpha}")
+        seen = set()
         for name, a, b in self.targets:
+            if name in seen:  # lora_merge would keep only the last delta
+                raise DataError(f"adapter targets {name!r} twice")
+            seen.add(name)
             if a.ndim != 2 or a.shape[0] != self.rank:
                 raise DataError(
                     f"adapter {name!r}: A must have {self.rank} rows, got {a.shape}"

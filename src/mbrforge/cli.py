@@ -16,15 +16,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable
 
-from .errors import (
-    EXIT_BRIDGE,
-    EXIT_IO,
-    EXIT_OK,
-    BridgeError,
-    DataError,
-    MbrforgeError,
-    UsageError,
-)
+from .errors import EXIT_IO, EXIT_OK, DataError, MbrforgeError, UsageError
 from .textio import check_outputs, read_aligned, segment_lines, write_outputs
 
 if TYPE_CHECKING:
@@ -454,28 +446,19 @@ def cmd_prompts(args: argparse.Namespace) -> int:
         ),
         "fewshot": lambda doc, i: promptgen.render_fewshot_turn(doc, i, args.k),
     }[args.mode]
-    records = [
-        (doc.doc_id, i, render(doc, i)) for doc in documents for i in range(len(doc.turns))
-    ]
-    if args.format == "jsonl":
-        chunks = [
-            json.dumps(
-                {
-                    "doc_id": doc_id,
-                    "turn_index": index,
-                    "text": prompt.text,
-                    "completion": prompt.completion,
-                },
-                ensure_ascii=False,
-            )
-            for doc_id, index, prompt in records
-        ]
-    else:
-        chunks = [
-            prompt.text + prompt.completion + "\n" + args.separator
-            for _doc_id, _index, prompt in records
-        ]
-    write_outputs([(args.out, "".join(chunk + "\n" for chunk in chunks).encode("utf-8"))])
+    formatter = {
+        "jsonl": lambda doc, i, prompt: json.dumps(
+            dict(doc_id=doc.doc_id, turn_index=i, text=prompt.text, completion=prompt.completion),
+            ensure_ascii=False,
+        ),
+        "text": lambda _doc, _i, prompt: prompt.text + prompt.completion + "\n" + args.separator,
+    }[args.format]
+    text = "".join(
+        formatter(doc, i, render(doc, i)) + "\n"
+        for doc in documents
+        for i in range(len(doc.turns))
+    )
+    write_outputs([(args.out, text.encode("utf-8"))])
     return EXIT_OK
 
 
@@ -496,11 +479,8 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         _flush_stdout()  # a stdout that cannot be written is an i/o error, not exit 120
         return code
-    except BridgeError as exc:
-        print(f"mbrforge: bridge error: {exc}", file=sys.stderr)
-        return EXIT_BRIDGE
     except MbrforgeError as exc:
-        print(f"mbrforge: error: {exc}", file=sys.stderr)
+        print(f"mbrforge: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"mbrforge: i/o error: {exc}", file=sys.stderr)

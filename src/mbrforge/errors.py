@@ -19,9 +19,10 @@ EXIT_IO = 5
 
 
 class MbrforgeError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; the CLI prints ``mbrforge: {label}: {message}``."""
 
     exit_code = 1
+    label = "error"
 
 
 class UsageError(MbrforgeError):
@@ -48,6 +49,7 @@ class BridgeError(MbrforgeError):
     """Failure talking to an external scorer process."""
 
     exit_code = EXIT_BRIDGE
+    label = "bridge error"
 
 
 class ProtocolError(BridgeError):

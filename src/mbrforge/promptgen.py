@@ -85,8 +85,12 @@ class ChatDocument(ValidatedRecord, _ChatDocument):
     __slots__ = ()
 
     def _check(self) -> None:
+        _check_text("doc_id", self.doc_id)
         if not self.turns:
             raise DataError(f"document {self.doc_id!r} has no turns")
+        for pos, turn in enumerate(self.turns):
+            if not isinstance(turn, ChatTurn):
+                raise DataError(f"turn {pos} of {self.doc_id!r} is not a ChatTurn: {turn!r}")
 
 
 class RenderedPrompt(NamedTuple):
@@ -108,15 +112,14 @@ def render_stream(doc: ChatDocument, index: int, k_history: int) -> RenderedProm
     query = _check_index(doc, index)
     if k_history < 0:
         raise DataError(f"k_history must be >= 0, got {k_history}")
-    history = doc.turns[max(0, index - k_history) : index]
     lines = []
-    for offset, turn in enumerate(history):
-        if turn.reference is None:
+    for pos in range(max(0, index - k_history), index):
+        if doc.turns[pos].reference is None:
             raise DataError(
                 f"stream render needs a reference on every history turn; "
-                f"turn {index - len(history) + offset} of {doc.doc_id!r} has none"
+                f"turn {pos} of {doc.doc_id!r} has none"
             )
-        lines.append(_HISTORY_LINE.format(turn))
+        lines.append(_HISTORY_LINE.format(doc.turns[pos]))
     lines.append(INSTRUCTION_TEMPLATE.format(tgt_lang=query.tgt_lang))
     lines.append(_STREAM_QUERY.format(query))
     return RenderedPrompt("\n".join(lines), query.reference or "")

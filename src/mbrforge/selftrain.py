@@ -55,6 +55,10 @@ class ParallelCorpus:
         self, pairs: tuple[tuple[str, str], ...], provenance: tuple[str, ...]
     ) -> None:
         require_aligned({"pairs": len(pairs), "provenance": len(provenance)})
+        for index, pair in enumerate(pairs):
+            sides = pair if isinstance(pair, tuple) else ()
+            if len(sides) != 2 or not all(isinstance(side, str) for side in sides):
+                raise DataError(f"pair {index} must be a tuple of two strings, got {pair!r}")
         for tag in provenance:
             if tag not in PROVENANCE_TAGS:
                 raise DataError(f"unknown provenance tag: {tag!r}")
@@ -90,24 +94,17 @@ class ParallelCorpus:
         return tuple(tgt for _src, tgt in self.pairs)
 
 
-def _token_count(segment: str) -> int:
-    return len(segment.split())
-
-
 def apply_filter(
     pairs: Iterable[tuple[str, str]], config: FilterConfig
 ) -> list[tuple[str, str]]:
     """Keep pairs passing every rule; idempotent by construction."""
     kept: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
+    low = max(config.min_tokens, 1)  # an empty side always drops the pair
     for src, tgt in pairs:
-        src_tokens = _token_count(src)
-        tgt_tokens = _token_count(tgt)
-        if src_tokens == 0 or tgt_tokens == 0:
-            continue
-        if src_tokens < config.min_tokens or src_tokens > config.max_tokens:
-            continue
-        if tgt_tokens < config.min_tokens or tgt_tokens > config.max_tokens:
+        src_tokens = len(src.split())
+        tgt_tokens = len(tgt.split())
+        if not (low <= src_tokens <= config.max_tokens and low <= tgt_tokens <= config.max_tokens):
             continue
         ratio = max(src_tokens / tgt_tokens, tgt_tokens / src_tokens)
         if ratio > config.max_length_ratio:
@@ -150,9 +147,10 @@ def build_bt_corpus(
     require_aligned({"targets": len(targets), "back_translations": len(back_translations)})
     if tag is not None and (tag == "" or any(ch.isspace() for ch in tag)):
         raise DataError(f"tag must be a single non-empty token, got {tag!r}")
-    pairs = apply_filter(zip(back_translations, targets), config)
-    if tag is not None:
-        pairs = [(f"{tag} {src}", tgt) for src, tgt in pairs]
+    prefix = "" if tag is None else tag + " "
+    pairs = [
+        (prefix + src, tgt) for src, tgt in apply_filter(zip(back_translations, targets), config)
+    ]
     return ParallelCorpus(tuple(pairs), ("back-translate",) * len(pairs))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,55 @@ class TestTensorStore:
         assert again == store
         assert again.serialize() == data
 
+    def test_parse_never_aliases_a_bytearray(self):
+        store = TensorStore({"w": f32([1.0, 2.0]), "b": f32([[3.0]])})
+        buffer = bytearray(store.serialize())
+        parsed = TensorStore.parse(buffer)
+        buffer[-12:] = bytes(12)
+        assert parsed == store
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    def test_parsed_tensors_are_read_only(self, kind):
+        parsed = TensorStore.parse(kind(TensorStore({"w": f32([1.0, 2.0])}).serialize()))
+        assert not parsed["w"].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            parsed["w"][0] = 5.0
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the most memory it held at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTsfMemory:
+    """TSF I/O holds one copy of the payload: serialize writes it once, parse views it."""
+
+    @pytest.fixture(scope="class")
+    def big_store(self):
+        rng = np.random.default_rng(5)
+        store = TensorStore(
+            {f"layer{i}.w": rng.standard_normal((256, 256), dtype=np.float32) for i in range(64)}
+        )
+        return store, 64 * 256 * 256 * 4  # 16 MiB of payload
+
+    def test_serialize_peaks_at_one_payload(self, big_store):
+        store, payload = big_store
+        data, peak = traced_peak(store.serialize)
+        assert len(data) > payload
+        assert peak <= 1.25 * payload
+
+    def test_parse_allocates_no_payload_copy(self, big_store):
+        store, payload = big_store
+        data = store.serialize()
+        parsed, peak = traced_peak(lambda: TensorStore.parse(data))
+        assert parsed == store
+        assert peak <= 0.1 * payload
+
 
 class TestAveraging:
     def test_two_store_mean(self):
@@ -152,7 +202,7 @@ class TestAveraging:
         np.testing.assert_array_equal(avg["w"], f32([2.0, 3.0]))
 
     def test_idempotent_on_identical_stores(self):
-        store = TensorStore({"w": f32([0.1, -0.3, 7.5]), "b": f32([1e-5])})
+        store = TensorStore({"w": f32([0.1, -0.3, 7.5, -0.0]), "b": f32([1e-5])})
         for k in (1, 2, 5):
             avg = average_checkpoints([store] * k)
             assert avg.serialize() == store.serialize()
@@ -277,6 +327,11 @@ class TestLoraMerge:
             LoraAdapter(
                 rank=1, alpha=1.0, targets=(("w", f32([[1.0, 2.0]]), f32([[1.0, 2.0]])),)
             )
+
+    def test_repeated_target_rejected(self):
+        a, b = f32([[1.0]]), f32([[1.0]])
+        with pytest.raises(DataError, match="adapter targets 'w' twice"):
+            LoraAdapter(rank=1, alpha=1.0, targets=(("w", a, b), ("v", a, b), ("w", 2 * a, b)))
 
 
 class TestAdapterFromStore:

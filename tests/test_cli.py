@@ -23,7 +23,14 @@ from mbrforge.checkpoint import TensorStore
 from mbrforge.errors import EXIT_OK, DataError
 from mbrforge.promptgen import ChatDocument, ChatTurn
 from mbrforge.textio import read_segments
-from fixtures import TOY_DEMOS, read_golden, toy_chat_doc, write_doc_jsonl
+from fixtures import (
+    GOLDEN_DIR,
+    TOY_DEMOS,
+    read_golden,
+    toy_chat_doc,
+    toy_chat_doc_2turn,
+    write_doc_jsonl,
+)
 
 DOUBLES = str(Path(__file__).parent / "doubles.py")
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -932,6 +939,37 @@ class TestPromptsCommand:
         assert exc_info.value.code == 2
         assert "--separator" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestPromptsBytes:
+    """Whole outputs of `prompts`, frozen byte for byte in tests/golden/prompts_*."""
+
+    @pytest.mark.parametrize(
+        "golden, docs, flags",
+        [
+            ("prompts_stream.txt", "toy", ["--mode", "stream", "--k", "3"]),
+            ("prompts_context.txt", "toy", ["--mode", "context", "--before", "1"]),
+            ("prompts_fewshot.txt", "shots", ["--mode", "fewshot", "--k", "3"]),
+            ("prompts_context_excluded.jsonl", "toy",
+             ["--mode", "context", "--exclude-query-context", "--format", "jsonl"]),
+        ],
+        ids=["stream-text", "context-text", "fewshot-text", "context-excluded-jsonl"],
+    )
+    def test_output_bytes(self, tmp_path, golden, docs, flags):
+        # Two documents in one file, so the records of the second follow the first.
+        if docs == "toy":
+            pair = (toy_chat_doc(), toy_chat_doc_2turn())
+        else:
+            pair = (fewshot_doc(), fewshot_doc()._replace(doc_id="toy-shots-2"))
+        for k, doc in enumerate(pair):
+            write_doc_jsonl(doc, tmp_path / f"{k}.jsonl")
+        doc_path = tmp_path / "chat.jsonl"
+        doc_path.write_bytes(b"".join((tmp_path / f"{k}.jsonl").read_bytes() for k in range(2)))
+        if "--format" not in flags:
+            flags = [*flags, "--format", "text", "--separator", "===="]
+        out = tmp_path / "prompts.out"
+        assert cli.main(["prompts", "--doc", str(doc_path), "--out", str(out), *flags]) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 
 class TestWorkersDefault:

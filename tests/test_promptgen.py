@@ -103,6 +103,14 @@ class TestStream:
         with pytest.raises(DataError, match="turn 0"):
             render_stream(doc, index=1, k_history=1)
 
+    def test_missing_reference_names_its_document_position(self):
+        german = dict(src_lang="German", tgt_lang="English")
+        turns = (make_turn(), make_turn(**german), make_turn(reference=None), make_turn(**german))
+        doc = ChatDocument(doc_id="d", turns=turns)
+        render_stream(doc, index=2, k_history=2)  # the query turn needs no reference
+        with pytest.raises(DataError, match="turn 2 of 'd' has none"):
+            render_stream(doc, index=3, k_history=3)
+
     def test_query_without_reference_has_empty_completion(self):
         doc = ChatDocument(doc_id="d", turns=(make_turn(reference=None),))
         assert render_stream(doc, index=0, k_history=0).completion == ""
@@ -272,6 +280,20 @@ class TestTurnValidation:
     def test_document_needs_turns(self):
         with pytest.raises(DataError, match="no turns"):
             ChatDocument(doc_id="d", turns=())
+
+    @pytest.mark.parametrize(
+        "doc_id, match",
+        [(7, "must be a string, got int"), (["x"], "must be a string, got list"),
+         ("d\ud800", "is not valid UTF-8")],
+    )
+    def test_document_id_checked(self, doc_id, match):
+        with pytest.raises(DataError, match=f"field 'doc_id' {match}"):
+            ChatDocument(doc_id=doc_id, turns=(make_turn(),))
+
+    @pytest.mark.parametrize("bad", [1, None, tuple(make_turn())], ids=["int", "none", "tuple"])
+    def test_document_turns_must_be_chat_turns(self, bad):
+        with pytest.raises(DataError, match="turn 1 of 'd' is not a ChatTurn"):
+            ChatDocument(doc_id="d", turns=(make_turn(), bad))
 
 
 class TestParsers:

@@ -114,6 +114,48 @@ class TestFilter:
         assert all(pair in it for pair in kept)
 
 
+def three_rule_filter(pairs, config):
+    """The filter written as three separate rules: empty side, bounds, then ratio."""
+    kept, seen = [], set()
+    for src, tgt in pairs:
+        n_src, n_tgt = len(src.split()), len(tgt.split())
+        if n_src == 0 or n_tgt == 0:
+            continue
+        if not (config.min_tokens <= n_src <= config.max_tokens):
+            continue
+        if not (config.min_tokens <= n_tgt <= config.max_tokens):
+            continue
+        if max(n_src / n_tgt, n_tgt / n_src) > config.max_length_ratio:
+            continue
+        if config.dedup and (src, tgt) in seen:
+            continue
+        seen.add((src, tgt))
+        kept.append((src, tgt))
+    return kept
+
+
+@st.composite
+def filter_configs(draw):
+    max_tokens = draw(st.integers(0, 5))
+    return FilterConfig(
+        max_length_ratio=draw(st.sampled_from([0.5, 1.0, 1.5, 3.0, 9.0])),
+        min_tokens=draw(st.integers(0, max_tokens)),
+        max_tokens=max_tokens,
+        dedup=draw(st.booleans()),
+    )
+
+
+class TestFilterMatchesThreeRules:
+    @given(st.lists(pair_st, max_size=20), filter_configs())
+    def test_equals_reference_predicate(self, pairs, config):
+        assert apply_filter(pairs, config) == three_rule_filter(pairs, config)
+
+    def test_zero_bounds(self):
+        pairs = [("", "x"), ("a", ""), (" ", "z"), ("a", "x"), ("a b", "x")]
+        assert apply_filter(pairs, FilterConfig(min_tokens=0, max_tokens=0)) == []
+        assert apply_filter(pairs, FilterConfig(min_tokens=0, max_tokens=1)) == [("a", "x")]
+
+
 class TestMerge:
     def make_corpora(self):
         st_corpus = build_st_corpus(["s1", "s2"], ["t1", "t2"])
@@ -236,3 +278,12 @@ class TestParallelCorpus:
         corpus = ParallelCorpus((("a", "x"),), ("genuine",))
         assert corpus != (corpus.pairs, corpus.provenance)
         assert corpus != corpus.pairs
+
+    @pytest.mark.parametrize(
+        "bad, index",
+        [((("a", "x"), (1, 2)), 1), ((("a",),), 0), ((["a", "x"],), 0), ((("a", "x", "y"),), 0)],
+        ids=["not-strings", "one-side", "list", "three-sides"],
+    )
+    def test_pairs_must_be_tuples_of_two_strings(self, bad, index):
+        with pytest.raises(DataError, match=f"pair {index} must be a tuple of two strings"):
+            ParallelCorpus(bad, ("genuine",) * len(bad))
