@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError, InfiniteDivergenceError, ValidatedRecord
-from .textio import atomic_write_bytes
+from .textio import staged_outputs
 
 TSF_MAGIC = b"TSF1"
 
@@ -60,7 +60,7 @@ class TensorStore:
             raise DataError(f"tensor {name!r} must have at least one dimension")
         if any(d <= 0 for d in arr.shape):
             raise DataError(f"tensor {name!r} has non-positive dimension {arr.shape}")
-        if not np.isfinite(arr).all():
+        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):  # no full-size mask
             raise DataError(f"tensor {name!r} contains non-finite values")
         self._entries[name] = arr
 
@@ -92,15 +92,18 @@ class TensorStore:
             for name, a in self.items()
         )
 
-    def serialize(self) -> bytes:
-        parts = [TSF_MAGIC + b"\n"]
+    def _parts(self) -> Iterator[bytes | np.ndarray]:
+        """The container's pieces in order; a payload is an array, read as a buffer, not copied."""
+        yield TSF_MAGIC + b"\n"
         for name, arr in self._entries.items():
             dims = ",".join(str(d) for d in arr.shape)
-            parts.append(f"{name}\tf32\t{dims}\n".encode("utf-8"))
-        parts.append(b"\n")
-        # bytes.join reads the arrays through the buffer protocol: one copy, into the result.
-        parts.extend(np.ascontiguousarray(arr, dtype="<f4") for arr in self._entries.values())
-        return b"".join(parts)
+            yield f"{name}\tf32\t{dims}\n".encode("utf-8")
+        yield b"\n"
+        for arr in self._entries.values():
+            yield np.ascontiguousarray(arr, dtype="<f4")
+
+    def serialize(self) -> bytes:
+        return b"".join(self._parts())
 
     @classmethod
     def parse(cls, data: bytes) -> "TensorStore":
@@ -145,7 +148,8 @@ class TensorStore:
         return store
 
     def save(self, path: str | Path) -> None:
-        atomic_write_bytes(path, self.serialize())
+        with staged_outputs([path]) as (out,):
+            out.writelines(self._parts())
 
     @classmethod
     def load(cls, path: str | Path) -> "TensorStore":

@@ -17,7 +17,7 @@ import sys
 from typing import TYPE_CHECKING, Callable
 
 from .errors import EXIT_IO, EXIT_OK, DataError, MbrforgeError, UsageError
-from .textio import check_outputs, read_aligned, segment_lines, write_outputs
+from .textio import check_outputs, read_aligned, segment_lines, staged_outputs
 
 if TYPE_CHECKING:
     from . import selftrain
@@ -333,16 +333,16 @@ def cmd_mbr(args: argparse.Namespace) -> int:
         )
     kind = "external" if bridge is not None else f"native-{args.utility}"
     spec = mbr.UtilitySpec(kind=kind, include_self=args.include_self, bridge=bridge)
-    # A bad output path fails now, not after every segment has been scored.
-    check_outputs([args.out, args.matrix_out] if args.matrix_out else [args.out])
+    outputs = [args.out, args.matrix_out] if args.matrix_out else [args.out]
+    check_outputs(outputs)  # a bad output path fails now, not after every segment is scored
     cset = mbr.load_candidates(args.cand, args.src)
     _info(args, f"selecting over {cset.num_segments} segments x {cset.num_systems} systems")
     matrices = mbr.segment_matrices(cset, spec, workers=args.workers)
     selection = mbr.selection_from_matrices(cset, matrices)
-    outputs = [(args.out, segment_lines(selection.chosen))]
-    if args.matrix_out:
-        outputs.append((args.matrix_out, mbr.format_matrix_dump(matrices).encode("utf-8")))
-    write_outputs(outputs)
+    with staged_outputs(outputs) as files:
+        files[0].write(segment_lines(selection.chosen))
+        if args.matrix_out:
+            files[1].writelines(mbr.format_matrix_dump([m]).encode("utf-8") for m in matrices)
     return EXIT_OK
 
 
@@ -453,12 +453,10 @@ def cmd_prompts(args: argparse.Namespace) -> int:
         ),
         "text": lambda _doc, _i, prompt: prompt.text + prompt.completion + "\n" + args.separator,
     }[args.format]
-    text = "".join(
-        formatter(doc, i, render(doc, i)) + "\n"
-        for doc in documents
-        for i in range(len(doc.turns))
-    )
-    write_outputs([(args.out, text.encode("utf-8"))])
+    with staged_outputs([args.out]) as (out,):
+        for doc in documents:
+            for i in range(len(doc.turns)):
+                out.write((formatter(doc, i, render(doc, i)) + "\n").encode("utf-8"))
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DataError, ValidatedRecord
-from .textio import read_aligned, require_aligned, segment_lines, write_outputs
+from .textio import read_aligned, require_aligned, segment_lines, staged_outputs
 
 PROVENANCE_TAGS = ("genuine", "self-train", "back-translate")
 
@@ -183,14 +183,11 @@ def write_corpus(
     are in place, so that ``read_corpus`` reads the new pairs as "genuine".
     """
     src_path, tgt_path, meta_path = _corpus_files(Path(prefix))
-    outputs = [
-        (src_path, segment_lines(corpus.sources)),
-        (tgt_path, segment_lines(corpus.targets)),
-    ]
-    if write_meta:
-        outputs.append((meta_path, segment_lines(corpus.provenance)))
-    write_outputs(outputs, remove=() if write_meta else (meta_path,))
-    return [path for path, _data in outputs]
+    paths = [src_path, tgt_path, meta_path] if write_meta else [src_path, tgt_path]
+    with staged_outputs(paths, remove=() if write_meta else (meta_path,)) as files:
+        for out, column in zip(files, (corpus.sources, corpus.targets, corpus.provenance)):
+            out.write(segment_lines(column))
+    return paths
 
 
 def read_corpus(prefix: str | Path) -> ParallelCorpus:

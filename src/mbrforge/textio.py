@@ -2,16 +2,17 @@
 
 Segment files are UTF-8, one segment per line, LF line endings; a trailing
 LF on the final line is optional and ignored on read.  A CR is content, not
-a line break.  A command's outputs are staged as temp files and renamed
-into place together, so a failed run leaves every one of them as it was.
+a line break.  Outputs are written into temp files and renamed into place
+together; README lists the part-way states a failed rename or unlink leaves.
 """
 
 from __future__ import annotations
 
 import os
 import stat
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 from .errors import AlignmentError, DataError, UsageError
 
@@ -87,43 +88,42 @@ def check_outputs(
     return modes
 
 
-def write_outputs(
-    outputs: Sequence[tuple[str | Path, bytes]], remove: Sequence[str | Path] = ()
-) -> None:
-    """Replace every ``(path, data)`` output together, then unlink each ``remove`` path.
+@contextmanager
+def staged_outputs(
+    paths: Sequence[str | Path], remove: Sequence[str | Path] = ()
+) -> Iterator[list[BinaryIO]]:
+    """Yield one open binary file per output; on a clean exit replace every target together.
 
     ``check_outputs`` runs first, so before anything is written a bad
     target stops the command.  Each output is staged as a temp file
-    beside its target, and any error deletes every temp file.  A new file
-    gets 0o666 less the umask, as from a plain ``open``; a replaced file
-    keeps its mode.  A symbolic link is written through: its target is
-    replaced, the link kept.
+    beside its target; a clean exit renames them in order and then
+    unlinks each ``remove`` path, and any error deletes every temp file.
+    A new file gets 0o666 less the umask, as from a plain ``open``; a
+    replaced file keeps its mode.  A symbolic link is written through:
+    its target is replaced, the link kept.
     """
-    modes = check_outputs([target for target, _data in outputs], remove)
-    staged: list[tuple[Path, Path]] = []  # (temp file, target)
+    modes = check_outputs(paths, remove)
+    staged: list[Path] = []  # temp files, in the order of ``modes``
     try:
-        for (path, mode), (_target, data) in zip(modes.items(), outputs):
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-            # The kernel applies the umask to 0o666; O_EXCL never reuses a file.
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            staged.append((tmp, path))
-            with os.fdopen(fd, "wb") as fh:
+        with ExitStack() as stack:  # closes every staged file, on an error too
+            files: list[BinaryIO] = []
+            for path, mode in modes.items():
+                tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+                # The kernel applies the umask to 0o666; O_EXCL never reuses a file.
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                staged.append(tmp)
+                files.append(stack.enter_context(os.fdopen(fd, "wb")))
                 if mode is not None:
-                    os.fchmod(fh.fileno(), mode)
-                fh.write(data)
-        for tmp, path in staged:
+                    os.fchmod(fd, mode)
+            yield files
+        for tmp, path in zip(staged, modes):
             os.replace(tmp, path)
         for path in remove:
             Path(path).unlink(missing_ok=True)
     except BaseException:
-        for tmp, _path in staged:
+        for tmp in staged:
             tmp.unlink(missing_ok=True)  # a renamed one is gone already
         raise
-
-
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write one output through ``write_outputs``."""
-    write_outputs([(path, data)])
 
 
 def require_aligned(counts: dict[str, int]) -> None:

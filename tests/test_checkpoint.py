@@ -170,7 +170,7 @@ def traced_peak(fn):
 
 
 class TestTsfMemory:
-    """TSF I/O holds one copy of the payload: serialize writes it once, parse views it."""
+    """TSF I/O holds one copy of the payload: serialize writes it once, parse views it, save streams it."""
 
     @pytest.fixture(scope="class")
     def big_store(self):
@@ -191,6 +191,21 @@ class TestTsfMemory:
         data = store.serialize()
         parsed, peak = traced_peak(lambda: TensorStore.parse(data))
         assert parsed == store
+        assert peak <= 0.1 * payload
+
+    def test_parse_of_one_large_tensor_allocates_no_mask(self):
+        # The finite check must not build a bool array the size of the tensor.
+        values = np.random.default_rng(6).standard_normal((2048, 2048), dtype=np.float32)
+        data = TensorStore({"w": values}).serialize()
+        parsed, peak = traced_peak(lambda: TensorStore.parse(data))
+        np.testing.assert_array_equal(parsed["w"], values)
+        assert peak <= 0.1 * values.nbytes
+
+    def test_save_streams_the_payload(self, big_store, tmp_path):
+        store, payload = big_store
+        path = tmp_path / "out.tsf"
+        _none, peak = traced_peak(lambda: store.save(path))
+        assert path.read_bytes() == store.serialize()
         assert peak <= 0.1 * payload
 
 

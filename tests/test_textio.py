@@ -13,15 +13,26 @@ from hypothesis import strategies as st
 
 from mbrforge.errors import AlignmentError, UsageError
 from mbrforge.textio import (
-    atomic_write_bytes,
     read_aligned,
     read_segments,
     require_aligned,
     segment_lines,
-    write_outputs,
+    staged_outputs,
 )
 
 segments_st = st.lists(st.text(alphabet="ab c\t", max_size=10), max_size=10)
+
+
+def write_outputs(outputs, remove=()) -> None:
+    """Write every ``(path, data)`` output in one staged block."""
+    with staged_outputs([path for path, _data in outputs], remove) as files:
+        for out, (_path, data) in zip(files, outputs):
+            out.write(data)
+
+
+def atomic_write_bytes(path, data) -> None:
+    """Write one output in its own staged block."""
+    write_outputs([(path, data)])
 
 
 def write_segments(path, segments) -> None:
@@ -237,7 +248,9 @@ def test_only_textio_changes_files():
     # Every write, rename and unlink of an output goes through textio, so a
     # command's outputs are replaced together or not at all.
     src = Path(__file__).parent.parent / "src" / "mbrforge"
-    calls = re.compile(r"os\.open\(|os\.replace\(|\.unlink\(|\.write_text\(|\.write_bytes\(")
+    calls = re.compile(
+        r"os\.open\(|os\.fdopen\(|os\.fchmod\(|os\.replace\(|\.unlink\(|\.write_text\(|\.write_bytes\("
+    )
     found = {
         f"{path.name}:{number}"
         for path in sorted(src.glob("*.py"))
