@@ -1,10 +1,11 @@
 """Numeric model-file operations over the TSF tensor container.
 
 TSF is a deliberately tiny self-describing format: the bytes ``TSF1``
-and LF, one UTF-8 header line per tensor (``name<TAB>f32<TAB>d0,d1,...``),
-a blank line, then the raw little-endian float32 payloads concatenated in
-header order.  No padding, no trailing bytes; serialize -> parse ->
-serialize is byte-identical.
+and LF, one UTF-8 header line per tensor (``name<TAB>f32<TAB>d0,d1,...``,
+each dimension a positive integer in canonical decimal), a blank line,
+then the raw little-endian float32 payloads concatenated in header
+order.  No padding, no trailing bytes; serialize -> parse -> serialize
+is byte-identical.
 
 On top of it: elementwise checkpoint averaging, low-rank adapter merging
 (W' = W + (alpha/rank) * B @ A), and the symmetric-KL consistency penalty
@@ -131,7 +132,8 @@ class TensorStore:
                 shape = tuple(int(d) for d in dims.split(","))
             except ValueError as exc:
                 raise DataError(f"bad shape in TSF header: {line!r}") from exc
-            if any(d < 1 for d in shape):
+            # Only the decimal form serialize writes: int() also takes " 2", "02" and "1_1".
+            if ",".join(map(str, shape)) != dims or any(d < 1 for d in shape):
                 raise DataError(f"bad shape in TSF header: {line!r}")
             count = math.prod(shape)
             nbytes = count * 4
@@ -160,29 +162,29 @@ class TensorStore:
             raise DataError(f"{path}: {exc}") from exc
 
 
-def average_checkpoints(stores: Sequence[TensorStore]) -> TensorStore:
-    """Elementwise arithmetic mean; output order follows the first store."""
-    if not stores:
-        raise DataError("need at least one store to average")
-    first = stores[0]
-    first_names = set(first.names())
-    for k, store in enumerate(stores[1:], start=2):
-        if set(store.names()) != first_names:
-            offending = sorted(first_names ^ set(store.names()))[0]
+def average_checkpoints(stores: Iterable[TensorStore]) -> TensorStore:
+    """Elementwise mean of any iterable of stores, added one at a time; order follows store 1."""
+    sums: dict[str, np.ndarray] = {}
+    k = 0
+    for store in stores:
+        k += 1
+        if k == 1:  # seed from store 1, not zeros: 0.0 + -0.0 would drop the sign
+            sums = {name: arr.astype(np.float64) for name, arr in store.items()}
+        elif set(store.names()) != sums.keys():
+            offending = min(sums.keys() ^ set(store.names()))
             raise DataError(f"store {k} does not match store 1 on tensor {offending!r}")
-        for name, arr in first.items():
-            if store[name].shape != arr.shape:
-                raise DataError(
-                    f"tensor {name!r} shape mismatch: store 1 has {arr.shape}, "
-                    f"store {k} has {store[name].shape}"
-                )
-    averaged = TensorStore()
-    for name, arr in first.items():
-        acc = arr.astype(np.float64)  # not zeros: 0.0 + -0.0 would drop the sign
-        for store in stores[1:]:
-            acc += store[name]
-        averaged.add(name, (acc / len(stores)).astype(np.float32))
-    return averaged
+        else:
+            for name, acc in sums.items():
+                if store[name].shape != acc.shape:
+                    raise DataError(
+                        f"tensor {name!r} shape mismatch: store 1 has {acc.shape}, "
+                        f"store {k} has {store[name].shape}"
+                    )
+                acc += store[name]
+        del store  # the loop variable would keep it alive while the next one loads
+    if k == 0:
+        raise DataError("need at least one store to average")
+    return TensorStore({name: (acc / k).astype(np.float32) for name, acc in sums.items()})
 
 
 class _LoraAdapter(NamedTuple):

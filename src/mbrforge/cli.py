@@ -416,8 +416,7 @@ def _checkpoint_layer():
 
 def cmd_avg(args: argparse.Namespace) -> int:
     checkpoint = _checkpoint_layer()  # numpy loads only for the commands that need it
-    stores = [checkpoint.TensorStore.load(path) for path in args.inputs]
-    checkpoint.average_checkpoints(stores).save(args.out)
+    checkpoint.average_checkpoints(map(checkpoint.TensorStore.load, args.inputs)).save(args.out)
     return EXIT_OK
 
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbrforge import cli
 from mbrforge.checkpoint import (
     DEFAULT_REG_ALPHA,
     LoraAdapter,
@@ -44,6 +46,44 @@ def stores_st(draw, names=("w", "b")):
         )
         entries[name] = f32(values)
     return TensorStore(entries)
+
+
+# Spellings of a dimension d that int() reads back as d but serialize never writes.
+NON_CANONICAL_DIMS = (
+    "0{}".format,
+    "+{}".format,
+    " {}".format,
+    "{} ".format,
+    "{}\r".format,
+    lambda d: "_".join(str(d)),  # 11 -> "1_1"; one digit stays canonical
+    lambda d: str(d).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+)
+
+
+@st.composite
+def tsf_containers(draw):
+    """TSF bytes built from generated header lines and payloads."""
+    names = draw(
+        st.lists(
+            st.text(st.characters(exclude_characters="\t\n"), min_size=1, max_size=4),
+            max_size=3,
+        )
+    )
+    header, payload = [], []
+    for name in names:
+        dims = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))
+        spell = draw(st.just(str) | st.sampled_from(NON_CANONICAL_DIMS))
+        header.append(f"{name}\tf32\t{','.join(spell(d) for d in dims)}\n".encode("utf-8"))
+        size = math.prod(dims)
+        values = draw(
+            st.lists(
+                st.floats(allow_nan=False, allow_infinity=False, width=32),
+                min_size=size,
+                max_size=size,
+            )
+        )
+        payload.append(np.array(values, dtype="<f4").tobytes())
+    return b"TSF1\n" + b"".join(header) + b"\n" + b"".join(payload)
 
 
 prob_vector_st = st.lists(
@@ -130,6 +170,11 @@ class TestTensorStore:
             (b"TSF1\nw\tf32\t2\n\n\x00\x00\x80?", "short"),
             (b"TSF1\nw\tf32\t1\n\n\x00\x00\x80?extra", "trailing bytes"),
             (b"TSF1\n\xff\tf32\t1\n\n", "undecodable TSF header line"),
+            # int() reads each of these dimensions, but serialize writes them differently.
+            *(
+                (f"TSF1\nw\tf32\t{dim}\n\n".encode("utf-8") + bytes(4 * int(dim)), "bad shape")
+                for dim in (" 2", "2 ", "+2", "02", "٢", "1_1", "2\r")
+            ),
         ],
     )
     def test_malformed_containers(self, data, match):
@@ -143,6 +188,15 @@ class TestTensorStore:
         again = TensorStore.parse(data)
         assert again == store
         assert again.serialize() == data
+
+    @settings(max_examples=200)
+    @given(tsf_containers())
+    def test_every_accepted_container_round_trips(self, data):
+        try:
+            store = TensorStore.parse(data)
+        except DataError:
+            return
+        assert store.serialize() == data
 
     def test_parse_never_aliases_a_bytearray(self):
         store = TensorStore({"w": f32([1.0, 2.0]), "b": f32([[3.0]])})
@@ -209,6 +263,30 @@ class TestTsfMemory:
         assert peak <= 0.1 * payload
 
 
+class TestAvgMemory:
+    """avg holds the float64 sums and one input store, however many stores it averages."""
+
+    def test_peak_is_flat_in_the_number_of_stores(self, tmp_path):
+        rng = np.random.default_rng(29)
+        paths = [str(tmp_path / f"ck{i}.tsf") for i in range(6)]
+        for path in paths:
+            TensorStore(
+                {f"layer{t}.w": rng.standard_normal((128, 1024), dtype=np.float32) for t in range(8)}
+            ).save(path)
+        payload = 8 * 128 * 1024 * 4  # 4 MiB per store
+        peaks = {}
+        for k in (2, 6):
+            out = tmp_path / f"avg{k}.tsf"
+            rc, peaks[k] = traced_peak(
+                lambda: cli.main(["avg", "--inputs", *paths[:k], "--out", str(out)])
+            )
+            assert rc == 0
+            want = average_checkpoints(map(TensorStore.load, paths[:k]))
+            assert TensorStore.load(out) == want
+        assert peaks[2] <= 3.5 * payload
+        assert peaks[6] <= peaks[2] + 0.1 * payload
+
+
 class TestAveraging:
     def test_two_store_mean(self):
         a = TensorStore({"w": f32([1.0, 2.0])})
@@ -249,6 +327,8 @@ class TestAveraging:
         b = TensorStore({"v": f32([1.0])})
         with pytest.raises(DataError, match="store 2"):
             average_checkpoints([a, b])
+        with pytest.raises(DataError, match="^store 3 does not match store 1 on tensor 'v'$"):
+            average_checkpoints(iter([a, a, b]))
 
     def test_shape_mismatch_rejected(self):
         a = TensorStore({"w": f32([1.0, 2.0])})
@@ -257,8 +337,27 @@ class TestAveraging:
             average_checkpoints([a, b])
 
     def test_empty_list_rejected(self):
-        with pytest.raises(DataError):
-            average_checkpoints([])
+        for empty in ([], iter([])):
+            with pytest.raises(DataError, match="^need at least one store to average$"):
+                average_checkpoints(empty)
+
+    def test_accepts_a_generator(self):
+        stores = (TensorStore({"w": f32([v, -0.0])}) for v in (1.0, 2.0, 6.0))
+        avg = average_checkpoints(stores)
+        assert avg.serialize() == TensorStore({"w": f32([3.0, -0.0])}).serialize()
+
+    def test_each_store_is_released_before_the_next_one_is_made(self):
+        refs, alive = [], []
+
+        def make(value):
+            alive.append(sum(ref() is not None for ref in refs))
+            store = TensorStore({"w": f32([value])})
+            refs.append(weakref.ref(store))
+            return store
+
+        avg = average_checkpoints(map(make, (1.0, 2.0, 3.0, 6.0)))
+        np.testing.assert_array_equal(avg["w"], f32([3.0]))
+        assert alive == [0, 0, 0, 0]
 
 
 class TestLoraMerge:

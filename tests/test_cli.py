@@ -682,6 +682,43 @@ class TestCheckpointCommands:
         assert rc == 3
         assert f"{bad}: not a TSF container (bad magic)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "inputs,err",
+        [
+            (["a", "a", "names"], "store 3 does not match store 1 on tensor 'b'"),
+            (["a", "shape"], "tensor 'w' shape mismatch: store 1 has (2,), store 2 has (1, 2)"),
+            # A store is checked before the next one loads, so a bad store 2 is
+            # reported ahead of a missing store 3.
+            (["a", "shape", "missing"],
+             "tensor 'w' shape mismatch: store 1 has (2,), store 2 has (1, 2)"),
+        ],
+        ids=["names-at-store-3", "shape", "shape-before-missing"],
+    )
+    def test_avg_reports_the_first_bad_store(self, tmp_path, capsys, inputs, err):
+        stores = {
+            "a": {"w": np.ones(2, np.float32), "b": np.ones(1, np.float32)},
+            "names": {"w": np.ones(2, np.float32), "v": np.ones(1, np.float32)},
+            "shape": {"w": np.ones((1, 2), np.float32), "b": np.ones(1, np.float32)},
+        }
+        for name, tensors in stores.items():
+            TensorStore(tensors).save(tmp_path / f"{name}.tsf")
+        out = tmp_path / "o.tsf"
+        rc = cli.main(["avg", "--inputs", *(str(tmp_path / f"{i}.tsf") for i in inputs),
+                       "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"mbrforge: error: {err}\n"
+        assert not out.exists()
+
+    def test_avg_out_may_name_an_input(self, tmp_path):
+        a = tmp_path / "a.tsf"
+        b = tmp_path / "b.tsf"
+        TensorStore({"w": np.array([1.0, -0.0], dtype=np.float32)}).save(a)
+        TensorStore({"w": np.array([3.0, -0.0], dtype=np.float32)}).save(b)
+        assert cli.main(["avg", "--inputs", str(a), str(b), "--out", str(a)]) == EXIT_OK
+        assert TensorStore.load(a).serialize() == TensorStore(
+            {"w": np.array([2.0, -0.0], dtype=np.float32)}
+        ).serialize()
+
     def test_lora_merge(self, tmp_path):
         base = tmp_path / "base.tsf"
         adapter = tmp_path / "adapter.tsf"
