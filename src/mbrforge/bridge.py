@@ -47,13 +47,12 @@ _NO_BATCH_END = (
 _ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n"}
 _UNESCAPES = {escaped: raw for raw, escaped in _ESCAPES.items()}
 _ESCAPE_PATTERN = "|".join(map(re.escape, _UNESCAPES))
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
 
 
 def escape_field(text: str) -> str:
-    """Escape backslash, TAB and LF so a field fits on one line."""
-    for raw, escaped in _ESCAPES.items():
-        text = text.replace(raw, escaped)
-    return text
+    """Escape backslash, TAB and LF so a field fits on one line, in one pass."""
+    return text.translate(_ESCAPE_TABLE)
 
 
 def unescape_field(text: str) -> str:

@@ -159,37 +159,31 @@ def _native_scorer(
 ) -> BatchScorer:
     """Batch scorer that counts each string and each unordered pair once per call.
 
-    Each pair is scored by ``score_stats`` on its ``metrics.ngram_stats``.
-    Each distinct string's n-gram counts and per-order totals are built
-    once.  Clipped matches are symmetric, so each unordered pair's matches
-    are counted once and serve both (a, b) and (b, a); only the totals swap
-    sides.  A string's matches against itself are its totals, so they are
-    stored with its counts and never walked.  The memos live for one call
-    only, so memory stays bounded by a batch.
+    The call's distinct strings are indexed in first-occurrence order, and
+    each one's n-gram counts and per-order totals are built once.  Each
+    pair is scored by ``score_stats`` on its ``metrics.ngram_stats``.
+    Clipped matches are symmetric, so the match table is keyed by the index
+    pair ``(i, j)`` with ``i <= j`` and serves both orientations; only the
+    totals swap sides.  A string's matches against itself are its totals,
+    so they are never walked.  The tables live for one call only, so memory
+    stays bounded by a batch.
     """
 
     def score(triples: Sequence[tuple[str, str, str]]) -> list[float]:
-        memo: dict[str, tuple[metrics.NgramCounts, Totals]] = {}
-        matched: dict[tuple[str, str], Totals] = {}
-
-        def feats(text: str) -> tuple[metrics.NgramCounts, Totals]:
-            entry = memo.get(text)
-            if entry is None:
-                counts = features(text)
-                totals = metrics.ngram_totals(counts)
-                entry = memo[text] = (counts, totals)
-                matched[text, text] = totals
-            return entry
-
+        index: dict[str, int] = {}
+        for _src, mt, ref in triples:
+            index.setdefault(mt, len(index))
+            index.setdefault(ref, len(index))
+        counts = list(map(features, index))
+        totals = list(map(metrics.ngram_totals, counts))
+        matched: dict[tuple[int, int], Totals] = {}
         scores = []
         for _src, mt, ref in triples:
-            hyp_counts, hyp_totals = feats(mt)
-            ref_counts, ref_totals = feats(ref)
-            matches = matched.get((mt, ref))
-            if matches is None:
-                matches = metrics.ngram_matches(hyp_counts, ref_counts)
-                matched[mt, ref] = matched[ref, mt] = matches
-            stats = metrics.ngram_stats(hyp_totals, ref_totals, matches)
+            i, j = index[mt], index[ref]
+            key = (i, j) if i <= j else (j, i)
+            if key not in matched:
+                matched[key] = totals[i] if i == j else metrics.ngram_matches(counts[i], counts[j])
+            stats = metrics.ngram_stats(totals[i], totals[j], matched[key])
             scores.append(score_stats(stats).value)
         return scores
 

@@ -21,7 +21,7 @@ the average; two empty segments therefore score a vacuous 100.
 Both metrics share one statistics format, ``NgramStats``: per n-gram
 order, the tuple ``(hyp_total, ref_total, matched)``.  ``ngram_stats``
 builds it from per-order totals and clipped matches, corpus scores sum it
-per order, and native MBR builds it from memoised totals and matches.
+per order, and native MBR counts its totals and matches once per call.
 BLEU's hypothesis and reference lengths are the unigram totals.
 
 One builder, ``ngram_counts``, counts the n-grams of both metrics: each

@@ -267,8 +267,34 @@ class TestDistinctScoring:
 
         monkeypatch.setattr(metrics, "_clipped_matches", counting)
         matrix = utility_matrix(single_segment(*row), 0, spec, make_scorer(spec))
-        assert len(calls) <= order * d * (d + 1) // 2
+        assert len(calls) == order * d * (d - 1) // 2  # never a string against itself
         assert [v for r in matrix.values for v in r] == every_pair
+
+    @pytest.mark.parametrize(
+        "kind,name,units",
+        [
+            ("native-chrf", "char_ngram_counts", lambda text: text),
+            ("native-bleu", "word_ngram_counts", tokenize),
+        ],
+        ids=["chrf", "bleu"],
+    )
+    def test_each_distinct_string_counted_once_per_call(self, monkeypatch, kind, name, units):
+        row = ("a b c", "b c d", "a b c", "c d e , f", "b c d", "x y")
+        build = getattr(metrics, name)
+        calls = []
+
+        def counting(arg):
+            calls.append(arg)
+            return build(arg)
+
+        monkeypatch.setattr(metrics, name, counting)
+        scorer = make_scorer(UtilitySpec(kind=kind))
+        triples = [("", mt, ref) for mt in row for ref in row]
+        once = [units(text) for text in dict.fromkeys(row)]
+        first = scorer(triples)
+        assert calls == once
+        assert scorer(triples) == first
+        assert calls == 2 * once  # nothing is kept from one call to the next
 
 
 class TestLoadCandidates:

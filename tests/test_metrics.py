@@ -7,7 +7,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbrforge.errors import AlignmentError
@@ -60,6 +60,30 @@ def slice_counts(seq, orders):
     return tuple(
         Counter(seq[i : i + n] for i in range(len(seq) - n + 1)) for n in range(1, orders + 1)
     )
+
+
+# Two MBR rows at real length: six candidates of about 30 words, with
+# repeats, attached punctuation and a non-ASCII word.
+_BUDGET = (
+    "The committee approved the new budget on Tuesday, but several members said the cuts "
+    "to public transport in Zürich were too deep and would hurt commuters in the northern "
+    "districts.",
+    "The committee passed the new budget on Tuesday, though several members said that cuts "
+    "to public transport in Zürich went too far and would hurt commuters in northern "
+    "districts.",
+    "On Tuesday the committee approved the budget, but some members warned that the cuts to "
+    "public transport in Zürich were too deep and would hurt the commuters of the north!",
+)
+BUDGET_ROW = [_BUDGET[k] for k in (0, 1, 0, 2, 1, 0)]
+_SLEEP = (
+    "Researchers at the university found that sleeping less than six hours a night raises "
+    "the risk of heart disease, according to a study published on Monday by Dr. Müller.",
+    "Scientists at the university found that sleeping under six hours per night increases "
+    "the risk of heart disease, according to a study Dr. Müller published on Monday.",
+    "A study published on Monday found that people who sleep less than six hours each "
+    "night face a higher risk of heart disease; Dr. Müller called the result “alarming”.",
+)
+SLEEP_ROW = [_SLEEP[k] for k in (0, 1, 2, 0, 1, 1)]
 
 
 class TestTokenize:
@@ -334,6 +358,8 @@ class TestExactStatistics:
         assert word_ngram_counts(list(tokens)) == slice_counts(tokens, 4)
 
     @given(st.lists(st.text(alphabet="ab c,.", max_size=16), min_size=1, max_size=5))
+    @example(BUDGET_ROW)
+    @example(SLEEP_ROW)
     def test_native_scorers_equal_sentence_metrics(self, segments):
         triples = [("", hyp, ref) for hyp in segments for ref in segments]
         chrf = make_scorer(UtilitySpec(kind="native-chrf"))(triples)
