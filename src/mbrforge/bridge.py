@@ -29,7 +29,7 @@ from .errors import (
     BridgeTimeoutError,
     DataError,
     ProtocolError,
-    ValidatedRecord,
+    validated,
 )
 
 MAX_BATCH_SIZE = 4096
@@ -79,17 +79,14 @@ def decode_request(line: str) -> ScoreRequest:
     return ScoreRequest(src, mt, ref)
 
 
-class _BridgeConfig(NamedTuple):
+@validated
+class BridgeConfig(NamedTuple):
+    """How to spawn and talk to a scorer process."""
+
     command: tuple[str, ...]
     batch_size: int = 32
     timeout: float = 60.0  # seconds to wait for each reply line
     restart_on_failure: bool = True
-
-
-class BridgeConfig(ValidatedRecord, _BridgeConfig):
-    """How to spawn and talk to a scorer process."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         if not self.command:

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, InfiniteDivergenceError, ValidatedRecord
+from .errors import DataError, InfiniteDivergenceError, validated
 from .textio import staged_outputs
 
 TSF_MAGIC = b"TSF1"
@@ -108,14 +108,19 @@ class TensorStore:
 
     @classmethod
     def parse(cls, data: bytes) -> "TensorStore":
-        """Parse a container into read-only tensors that are views of ``bytes(data)``."""
+        """Parse a container into read-only tensors that are views of ``bytes(data)``.
+
+        ``bytes`` is viewed as it is; any other bytes-like input is copied
+        first, so later writes to it never reach the store.
+        """
+        data = bytes(data)
         if not data.startswith(TSF_MAGIC + b"\n"):
             raise DataError("not a TSF container (bad magic)")
         header_end = data.find(b"\n\n", len(TSF_MAGIC))
         if header_end < 0:
             raise DataError("truncated TSF header (no blank line)")
         header = data[len(TSF_MAGIC) + 1 : header_end]
-        body = memoryview(bytes(data))[header_end + 2 :]
+        body = memoryview(data)[header_end + 2 :]
         store = cls()
         offset = 0
         lines = header.split(b"\n") if header else []
@@ -187,20 +192,17 @@ def average_checkpoints(stores: Iterable[TensorStore]) -> TensorStore:
     return TensorStore({name: (acc / k).astype(np.float32) for name, acc in sums.items()})
 
 
-class _LoraAdapter(NamedTuple):
-    rank: int
-    alpha: float
-    targets: tuple[tuple[str, np.ndarray, np.ndarray], ...]  # (name, A, B)
-
-
-class LoraAdapter(ValidatedRecord, _LoraAdapter):
+@validated
+class LoraAdapter(NamedTuple):
     """Low-rank update factors for named base tensors.
 
     For a base tensor of shape (d, k), A is (rank, k) and B is (d, rank);
     the merged weight is W + (alpha / rank) * B @ A.
     """
 
-    __slots__ = ()
+    rank: int
+    alpha: float
+    targets: tuple[tuple[str, np.ndarray, np.ndarray], ...]  # (name, A, B)
 
     def _check(self) -> None:
         if self.rank <= 0:

@@ -82,7 +82,7 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
 
 
 def _add_command(
-    sub, name: str, handler: Callable[[argparse.Namespace], int], help_text: str
+    sub, name: str, handler: Callable[[argparse.Namespace], None], help_text: str
 ) -> argparse.ArgumentParser:
     """Register one subcommand: its help line, the shared formatter and its handler."""
     parser = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
@@ -310,7 +310,7 @@ def _filter_config(args: argparse.Namespace) -> selftrain.FilterConfig:
     )
 
 
-def cmd_mbr(args: argparse.Namespace) -> int:
+def cmd_mbr(args: argparse.Namespace) -> None:
     from . import mbr  # each command imports the layers it runs, so start-up is cheap
 
     bridge = None
@@ -343,10 +343,9 @@ def cmd_mbr(args: argparse.Namespace) -> int:
         files[0].write(segment_lines(selection.chosen))
         if args.matrix_out:
             files[1].writelines(mbr.format_matrix_dump([m]).encode("utf-8") for m in matrices)
-    return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> None:
     from . import metrics
 
     hyps, refs = read_aligned(args.hyp, args.ref)
@@ -368,36 +367,32 @@ def cmd_eval(args: argparse.Namespace) -> int:
         values = [corpus(hyps, refs).value]
     for value in values:
         print(f"{value:.2f}")
-    return EXIT_OK
 
 
-def cmd_build_st(args: argparse.Namespace) -> int:
+def cmd_build_st(args: argparse.Namespace) -> None:
     from . import selftrain
 
     sources, translations = read_aligned(args.src, args.mt)
     corpus = selftrain.build_st_corpus(sources, translations, _filter_config(args))
     selftrain.write_corpus(corpus, args.out_prefix, write_meta=args.write_meta)
     _info(args, f"kept {len(corpus)} of {len(sources)} pairs")
-    return EXIT_OK
 
 
-def cmd_build_bt(args: argparse.Namespace) -> int:
+def cmd_build_bt(args: argparse.Namespace) -> None:
     from . import selftrain
 
     targets, back = read_aligned(args.tgt, args.bt)
     corpus = selftrain.build_bt_corpus(targets, back, tag=args.tag, config=_filter_config(args))
     selftrain.write_corpus(corpus, args.out_prefix, write_meta=args.write_meta)
     _info(args, f"kept {len(corpus)} of {len(targets)} pairs")
-    return EXIT_OK
 
 
-def cmd_merge(args: argparse.Namespace) -> int:
+def cmd_merge(args: argparse.Namespace) -> None:
     from . import selftrain
 
     corpora = [selftrain.read_corpus(prefix) for prefix in args.inputs]
     merged = selftrain.merge_corpora(corpora, shuffle_seed=args.seed)
     selftrain.write_corpus(merged, args.out_prefix, write_meta=True)
-    return EXIT_OK
 
 
 def _checkpoint_layer():
@@ -414,23 +409,21 @@ def _checkpoint_layer():
     return checkpoint
 
 
-def cmd_avg(args: argparse.Namespace) -> int:
+def cmd_avg(args: argparse.Namespace) -> None:
     checkpoint = _checkpoint_layer()  # numpy loads only for the commands that need it
     checkpoint.average_checkpoints(map(checkpoint.TensorStore.load, args.inputs)).save(args.out)
-    return EXIT_OK
 
 
-def cmd_lora_merge(args: argparse.Namespace) -> int:
+def cmd_lora_merge(args: argparse.Namespace) -> None:
     checkpoint = _checkpoint_layer()
     base = checkpoint.TensorStore.load(args.base)
     adapter = checkpoint.adapter_from_store(
         checkpoint.TensorStore.load(args.adapter), alpha=args.alpha
     )
     checkpoint.lora_merge(base, adapter).save(args.out)
-    return EXIT_OK
 
 
-def cmd_prompts(args: argparse.Namespace) -> int:
+def cmd_prompts(args: argparse.Namespace) -> None:
     import json
 
     from . import promptgen
@@ -456,7 +449,6 @@ def cmd_prompts(args: argparse.Namespace) -> int:
         for doc in documents:
             for i in range(len(doc.turns)):
                 out.write((formatter(doc, i, render(doc, i)) + "\n").encode("utf-8"))
-    return EXIT_OK
 
 
 def _flush_stdout() -> None:
@@ -473,9 +465,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        args.func(args)
         _flush_stdout()  # a stdout that cannot be written is an i/o error, not exit 120
-        return code
+        return EXIT_OK
     except MbrforgeError as exc:
         print(f"mbrforge: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -1,9 +1,8 @@
-"""Exception hierarchy shared by the library and the CLI, and the mixin
+"""Exception hierarchy shared by the library and the CLI, and the decorator
 of the records whose checks raise it.
 
-A validated record lists ``ValidatedRecord`` before its named-tuple base
-and defines ``_check(self) -> None``, which raises on the first bad field,
-in place of a ``__new__`` of its own.
+A ``@validated`` named tuple defines ``_check(self) -> None``, which raises
+on the first bad field, in place of a ``__new__`` of its own.
 
 Exit codes reported by the CLI: 0 ok, 2 usage error, 3 alignment/data
 error, 4 bridge error, 5 I/O error.
@@ -11,11 +10,16 @@ error, 4 bridge error, 5 I/O error.
 
 from __future__ import annotations
 
+import functools
+from typing import TypeVar
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_BRIDGE = 4
 EXIT_IO = 5
+
+_Record = TypeVar("_Record", bound=type)  # a named-tuple class
 
 
 class MbrforgeError(Exception):
@@ -69,16 +73,21 @@ class BridgeTimeoutError(BridgeError):
     """The scorer did not answer within the configured timeout."""
 
 
-class ValidatedRecord:
-    """Named-tuple mixin that builds the tuple, then calls ``self._check()``.
+def validated(cls: _Record) -> _Record:
+    """Make the named tuple ``cls`` call ``self._check()`` on every new instance.
 
-    So the constructor, ``_make`` and ``_replace`` (through ``_make``) all validate.
+    The tuple is built, then checked.  ``_make`` and ``_replace``, copies
+    and unpickling (under any protocol) all go through the constructor.
     """
+    build = cls.__new__
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
-
+    @functools.wraps(build)
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        self = build(cls, *args, **kwargs)
         self._check()
         return self
+
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    cls.__reduce__ = lambda self: (self.__class__, tuple(self))
+    return cls

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import metrics
-from .errors import DataError, MbrforgeError, ValidatedRecord
+from .errors import DataError, MbrforgeError, validated
 from .textio import read_aligned, require_aligned
 
 if TYPE_CHECKING:
@@ -29,16 +29,13 @@ Totals = tuple[int, ...]  # one integer per n-gram order
 UTILITY_KINDS = ("native-bleu", "native-chrf", "external")
 
 
-class _CandidateSet(NamedTuple):
+@validated
+class CandidateSet(NamedTuple):
+    """m aligned source segments by n system outputs."""
+
     sources: tuple[str, ...]
     systems: tuple[str, ...]
     candidates: tuple[tuple[str, ...], ...]  # candidates[segment][system]
-
-
-class CandidateSet(ValidatedRecord, _CandidateSet):
-    """m aligned source segments by n system outputs."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         require_aligned({"sources": len(self.sources), "candidates": len(self.candidates)})
@@ -60,13 +57,8 @@ class CandidateSet(ValidatedRecord, _CandidateSet):
         return len(self.systems)
 
 
-class _UtilitySpec(NamedTuple):
-    kind: str = "native-chrf"
-    include_self: bool = True
-    bridge: BridgeConfig | None = None
-
-
-class UtilitySpec(ValidatedRecord, _UtilitySpec):
+@validated
+class UtilitySpec(NamedTuple):
     """Which pairwise utility to use and how.
 
     ``include_self`` keeps the candidate itself in its own reference set
@@ -75,7 +67,9 @@ class UtilitySpec(ValidatedRecord, _UtilitySpec):
     process of an external utility.
     """
 
-    __slots__ = ()
+    kind: str = "native-chrf"
+    include_self: bool = True
+    bridge: BridgeConfig | None = None
 
     def _check(self) -> None:
         if self.kind not in UTILITY_KINDS:

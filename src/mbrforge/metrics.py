@@ -40,7 +40,7 @@ from collections import Counter
 from functools import reduce
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .errors import ValidatedRecord
+from .errors import validated
 from .textio import require_aligned
 
 TokenSequence = list[str]
@@ -95,15 +95,12 @@ def ngram_counts(units: Sequence, max_order: int) -> NgramCounts:
     return tuple(counts)
 
 
-class _Score(NamedTuple):
-    value: float
-    brevity_penalty: float = 1.0
-
-
-class MetricScore(ValidatedRecord, _Score):
+@validated
+class MetricScore(NamedTuple):
     """A 0..100 score; ``brevity_penalty`` is 1.0 for chrF."""
 
-    __slots__ = ()
+    value: float
+    brevity_penalty: float = 1.0
 
     def _check(self) -> None:
         if not 0.0 <= self.value <= 100.0:

@@ -24,7 +24,7 @@ import re
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import DataError, ValidatedRecord
+from .errors import DataError, validated
 from .textio import read_text
 
 SPEAKERS = ("customer", "agent")
@@ -50,19 +50,16 @@ def _check_text(name: str, value: object) -> None:
         raise DataError(f"field {name!r} is not valid UTF-8: {exc.reason}") from None
 
 
-class _ChatTurn(NamedTuple):
+@validated
+class ChatTurn(NamedTuple):
+    """One turn; every field is a UTF-8 encodable str, and ``reference`` may be None."""
+
     speaker: str
     src_lang: str
     tgt_lang: str
     source: str
     mt: str
     reference: str | None = None
-
-
-class ChatTurn(ValidatedRecord, _ChatTurn):
-    """One turn; every field is a UTF-8 encodable str, and ``reference`` may be None."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         for name, value in zip(self._fields, self):
@@ -76,13 +73,10 @@ class ChatTurn(ValidatedRecord, _ChatTurn):
             raise DataError("turn source must not be empty")
 
 
-class _ChatDocument(NamedTuple):
+@validated
+class ChatDocument(NamedTuple):
     doc_id: str
     turns: tuple[ChatTurn, ...]
-
-
-class ChatDocument(ValidatedRecord, _ChatDocument):
-    __slots__ = ()
 
     def _check(self) -> None:
         _check_text("doc_id", self.doc_id)
@@ -242,7 +236,7 @@ def _parse(
     history = []
     for line in lines[:pos]:
         turn = _fields(line_template, line, line_name)
-        history.append(tuple(map(turn.get, _ChatTurn._fields[1:])))  # all but speaker
+        history.append(tuple(map(turn.get, ChatTurn._fields[1:])))  # all but speaker
     query = _fields(query_template, lines[-1], query_name)
     return ParsedPrompt(
         history=tuple(history),

@@ -15,7 +15,7 @@ import random
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DataError, ValidatedRecord
+from .errors import DataError, validated
 from .textio import read_aligned, require_aligned, segment_lines, staged_outputs
 
 PROVENANCE_TAGS = ("genuine", "self-train", "back-translate")
@@ -23,15 +23,12 @@ PROVENANCE_TAGS = ("genuine", "self-train", "back-translate")
 DEFAULT_BT_TAG = "<BT>"
 
 
-class _FilterConfig(NamedTuple):
+@validated
+class FilterConfig(NamedTuple):
     max_length_ratio: float = 9.0
     min_tokens: int = 1
     max_tokens: int = 250
     dedup: bool = False
-
-
-class FilterConfig(ValidatedRecord, _FilterConfig):
-    __slots__ = ()
 
     def _check(self) -> None:
         if not self.max_length_ratio > 0:  # also rejects NaN
@@ -70,6 +67,10 @@ class ParallelCorpus:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copies and unpickling rebuild through the constructor, which checks them.
+        return self.__class__, (self.pairs, self.provenance)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import importlib
+import pickle
 import pkgutil
 import re
 
@@ -12,7 +14,7 @@ import pytest
 import mbrforge
 from mbrforge.bridge import BridgeConfig, ScoreRequest
 from mbrforge.checkpoint import LoraAdapter
-from mbrforge.errors import DataError, ValidatedRecord
+from mbrforge.errors import DataError
 from mbrforge.mbr import CandidateSet, MbrSelection, UtilityMatrix, UtilitySpec
 from mbrforge.metrics import MetricScore
 from mbrforge.promptgen import ChatDocument, ChatTurn, ParsedPrompt, RenderedPrompt
@@ -52,6 +54,44 @@ def test_assignment_raises(record, field):
     assert getattr(record, field) is before
 
 
+def _unpickle(record):
+    return pickle.loads(pickle.dumps(record))
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, _unpickle])
+@pytest.mark.parametrize(
+    "record", [record for record, _field in RECORDS], ids=[type(r).__name__ for r, _f in RECORDS]
+)
+def test_copies_keep_type_and_fields(record, clone):
+    result = clone(record)
+    assert type(result) is type(record)
+    if isinstance(record, LoraAdapter):
+        assert result[:2] == record[:2]
+        for (name, a, b), (other_name, other_a, other_b) in zip(
+            result.targets, record.targets, strict=True
+        ):
+            assert name == other_name
+            assert np.array_equal(a, other_a) and np.array_equal(b, other_b)
+    else:
+        assert result == record
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize(
+    "record, good, bad",
+    [
+        (TURN, b"customer", b"stranger"),
+        (ParallelCorpus((("a", "b"),), ("genuine",)), b"genuine", b"unknown"),
+    ],
+    ids=["ChatTurn", "ParallelCorpus"],
+)
+def test_unpickling_checks_like_the_constructor(record, good, bad, protocol):
+    data = pickle.dumps(record, protocol)
+    assert data.count(good) == 1
+    with pytest.raises(DataError, match="unknown"):
+        pickle.loads(data.replace(good, bad))
+
+
 # Each validated record with one field changed to a value its constructor rejects.
 BAD_CHANGES = [
     (MetricScore(50.0), {"value": 101.0}, ValueError),
@@ -77,13 +117,28 @@ def test_replace_validates_like_the_constructor(record, changes, error):
         record._replace(**changes)
 
 
-def test_every_validated_record_checks_through_the_mixin():
-    # A record built by the mixin's __new__ cannot skip its checks, and a new
-    # record must join BAD_CHANGES above.
-    for module in pkgutil.iter_modules(mbrforge.__path__):
-        importlib.import_module(f"mbrforge.{module.name}")
-    records = set(ValidatedRecord.__subclasses__())
+@pytest.mark.parametrize(
+    "record, changes, error",
+    BAD_CHANGES,
+    ids=[type(record).__name__ for record, _changes, _error in BAD_CHANGES],
+)
+def test_make_validates_like_the_constructor(record, changes, error):
+    fields = {**record._asdict(), **changes}
+    with pytest.raises(error) as from_constructor:
+        type(record)(**fields)
+    with pytest.raises(error, match=re.escape(str(from_constructor.value))):
+        type(record)._make(fields.values())
+
+
+def test_every_validated_record_checks_through_the_decorator():
+    # A record built by the decorated __new__ cannot skip its checks, and a
+    # new record must join BAD_CHANGES above.
+    records = set()
+    for info in pkgutil.iter_modules(mbrforge.__path__):
+        module = importlib.import_module(f"mbrforge.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, tuple) and "_check" in vars(value):
+                records.add(value)
     for record in records:
-        assert "_check" in vars(record), record.__name__
-        assert "__new__" not in vars(record), record.__name__
+        assert hasattr(record.__new__, "__wrapped__"), record.__name__
     assert records == {type(record) for record, _changes, _error in BAD_CHANGES}
