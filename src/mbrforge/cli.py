@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from .errors import EXIT_IO, EXIT_OK, DataError, MbrforgeError, UsageError
@@ -57,6 +58,13 @@ def _utf8_text(text: str) -> str:
         text.encode("utf-8")
     except UnicodeEncodeError:
         raise argparse.ArgumentTypeError(f"not valid UTF-8: {text!r}") from None
+    return text
+
+
+def _corpus_prefix(text: str) -> str:
+    """Argparse type for a corpus prefix, whose last component must name a file."""
+    if Path(text).name in ("", ".."):
+        raise argparse.ArgumentTypeError(f"names no file: {text!r}")
     return text
 
 
@@ -199,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--src", required=True, help="monolingual source file")
     p.add_argument("--mt", required=True, help="forward translations (e.g. mbr output)")
-    p.add_argument("--out-prefix", required=True)
+    p.add_argument("--out-prefix", type=_corpus_prefix, required=True)
     _add_filter_flags(p)
 
     p = _add_command(
@@ -216,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="optional token prepended to every synthetic source (e.g. '<BT>')",
     )
-    p.add_argument("--out-prefix", required=True)
+    p.add_argument("--out-prefix", type=_corpus_prefix, required=True)
     _add_filter_flags(p)
 
     p = _add_command(
@@ -225,11 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--inputs",
         nargs="+",
+        type=_corpus_prefix,
         required=True,
         metavar="PREFIX",
         help="corpus prefixes (reads PREFIX.src/.tgt and PREFIX.meta if present)",
     )
-    p.add_argument("--out-prefix", required=True)
+    p.add_argument("--out-prefix", type=_corpus_prefix, required=True)
     p.add_argument("--seed", type=int, default=None, help="shuffle seed")
 
     p = _add_command(sub, "avg", cmd_avg, "average checkpoint tensors elementwise")
@@ -333,7 +342,7 @@ def cmd_mbr(args: argparse.Namespace) -> None:
         )
     kind = "external" if bridge is not None else f"native-{args.utility}"
     spec = mbr.UtilitySpec(kind=kind, include_self=args.include_self, bridge=bridge)
-    outputs = [args.out, args.matrix_out] if args.matrix_out else [args.out]
+    outputs = [args.out, args.matrix_out] if args.matrix_out is not None else [args.out]
     check_outputs(outputs)  # a bad output path fails now, not after every segment is scored
     cset = mbr.load_candidates(args.cand, args.src)
     _info(args, f"selecting over {cset.num_segments} segments x {cset.num_systems} systems")
@@ -341,7 +350,7 @@ def cmd_mbr(args: argparse.Namespace) -> None:
     selection = mbr.selection_from_matrices(cset, matrices)
     with staged_outputs(outputs) as files:
         files[0].write(segment_lines(selection.chosen))
-        if args.matrix_out:
+        if args.matrix_out is not None:
             files[1].writelines(mbr.format_matrix_dump([m]).encode("utf-8") for m in matrices)
 
 

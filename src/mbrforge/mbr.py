@@ -24,7 +24,6 @@ if TYPE_CHECKING:
 
 # A batch scorer maps (src, mt, ref) triples to one float per triple.
 BatchScorer = Callable[[Sequence[tuple[str, str, str]]], list[float]]
-Totals = tuple[int, ...]  # one integer per n-gram order
 
 UTILITY_KINDS = ("native-bleu", "native-chrf", "external")
 
@@ -123,17 +122,23 @@ def make_scorer(spec: UtilitySpec) -> BatchScorer:
     """Build a batch scorer for a utility spec.
 
     Native BLEU is add-k smoothed sentence BLEU on punctuation-split
-    tokens; native chrF is sentence chrF.  Both use the fixed parameters
-    of ``metrics``.  External scorers own a child process; call
+    tokens; native chrF is sentence chrF.  Both score the call's pairs
+    through ``metrics.pair_stats`` with the fixed parameters of
+    ``metrics``.  External scorers own a child process; call
     ``close_scorer`` when done.
     """
-    if spec.kind == "native-bleu":
-        return _native_scorer(
-            lambda text: metrics.word_ngram_counts(metrics.tokenize(text)),
-            partial(metrics.score_from_bleu_stats, smoothing="add-k"),
-        )
-    if spec.kind == "native-chrf":
-        return _native_scorer(metrics.char_ngram_counts, metrics.score_from_chrf_stats)
+    if spec.kind != "external":
+        if spec.kind == "native-bleu":
+            features = lambda text: metrics.word_ngram_counts(metrics.tokenize(text))
+            score_stats = partial(metrics.score_from_bleu_stats, smoothing="add-k")
+        else:
+            features, score_stats = metrics.char_ngram_counts, metrics.score_from_chrf_stats
+
+        def score_native(triples: Sequence[tuple[str, str, str]]) -> list[float]:
+            pairs = [(mt, ref) for _src, mt, ref in triples]
+            return [score_stats(stats).value for stats in metrics.pair_stats(pairs, features)]
+
+        return score_native
 
     from .bridge import BridgeClient, ScoreRequest  # only external utilities need it
 
@@ -145,43 +150,6 @@ def make_scorer(spec: UtilitySpec) -> BatchScorer:
 
     score_external.client = client  # type: ignore[attr-defined]
     return score_external
-
-
-def _native_scorer(
-    features: Callable[[str], metrics.NgramCounts],
-    score_stats: Callable[[metrics.NgramStats], metrics.MetricScore],
-) -> BatchScorer:
-    """Batch scorer that counts each string and each unordered pair once per call.
-
-    The call's distinct strings are indexed in first-occurrence order, and
-    each one's n-gram counts and per-order totals are built once.  Each
-    pair is scored by ``score_stats`` on its ``metrics.ngram_stats``.
-    Clipped matches are symmetric, so the match table is keyed by the index
-    pair ``(i, j)`` with ``i <= j`` and serves both orientations; only the
-    totals swap sides.  A string's matches against itself are its totals,
-    so they are never walked.  The tables live for one call only, so memory
-    stays bounded by a batch.
-    """
-
-    def score(triples: Sequence[tuple[str, str, str]]) -> list[float]:
-        index: dict[str, int] = {}
-        for _src, mt, ref in triples:
-            index.setdefault(mt, len(index))
-            index.setdefault(ref, len(index))
-        counts = list(map(features, index))
-        totals = list(map(metrics.ngram_totals, counts))
-        matched: dict[tuple[int, int], Totals] = {}
-        scores = []
-        for _src, mt, ref in triples:
-            i, j = index[mt], index[ref]
-            key = (i, j) if i <= j else (j, i)
-            if key not in matched:
-                matched[key] = totals[i] if i == j else metrics.ngram_matches(counts[i], counts[j])
-            stats = metrics.ngram_stats(totals[i], totals[j], matched[key])
-            scores.append(score_stats(stats).value)
-        return scores
-
-    return score
 
 
 def close_scorer(scorer: BatchScorer) -> None:

@@ -20,8 +20,10 @@ the average; two empty segments therefore score a vacuous 100.
 
 Both metrics share one statistics format, ``NgramStats``: per n-gram
 order, the tuple ``(hyp_total, ref_total, matched)``.  ``ngram_stats``
-builds it from per-order totals and clipped matches, corpus scores sum it
-per order, and native MBR counts its totals and matches once per call.
+builds it from per-order totals and clipped matches, and corpus scores sum
+it per order.  One pair loop, ``pair_stats``, builds it for single-reference
+pairs: sentence and corpus chrF and both native MBR utilities call it, and
+it counts each distinct string and each unordered pair once per call.
 BLEU's hypothesis and reference lengths are the unigram totals.
 
 One builder, ``ngram_counts``, counts the n-grams of both metrics: each
@@ -155,14 +157,41 @@ def ngram_stats(
     return list(zip(hyp_totals, ref_totals, matches))
 
 
+def pair_stats(
+    pairs: Sequence[tuple[Any, Any]], features: Callable[[Any], NgramCounts]
+) -> list[NgramStats]:
+    """Per-order statistics of each ``(hyp, ref)`` pair, in pair order.
+
+    Each distinct string's ``features`` and totals are built once per call,
+    and each unordered pair's clipped matches once: the match table is keyed
+    by first-occurrence indices ``(i, j)`` with ``i <= j``, and a string's
+    matches against itself are its totals.  Nothing outlives the call.
+    """
+    index: dict[Any, int] = {}
+    for hyp, ref in pairs:
+        index.setdefault(hyp, len(index))
+        index.setdefault(ref, len(index))
+    counts = list(map(features, index))
+    totals = list(map(ngram_totals, counts))
+    matched: dict[tuple[int, int], tuple[int, ...]] = {}
+    stats = []
+    for hyp, ref in pairs:
+        i, j = index[hyp], index[ref]
+        key = (i, j) if i <= j else (j, i)
+        if key not in matched:
+            matched[key] = totals[i] if i == j else ngram_matches(counts[i], counts[j])
+        stats.append(ngram_stats(totals[i], totals[j], matched[key]))
+    return stats
+
+
 def corpus_stats(
-    hyps: Sequence, refs: Sequence, pair_stats: Callable[[Any, Any], NgramStats]
+    hyps: Sequence, refs: Sequence, stats_of: Callable[[Any, Any], NgramStats]
 ) -> NgramStats:
     """Statistics of aligned segment pairs, summed per order (micro-averaging)."""
     require_aligned({"hyps": len(hyps), "refs": len(refs)})
     if not hyps:
         raise ValueError("corpus must contain at least one segment")
-    per_segment = [pair_stats(hyp, ref) for hyp, ref in zip(hyps, refs)]
+    per_segment = [stats_of(hyp, ref) for hyp, ref in zip(hyps, refs)]
     return [tuple(map(sum, zip(*order))) for order in zip(*per_segment)]
 
 
@@ -172,7 +201,8 @@ def bleu_stats(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> NgramStats:
     Clipping caps each hypothesis n-gram count at the maximum count seen in
     any single reference, i.e. ``hyp & (ref1 | ref2 | ...)``.  The
     ``ref_total``s are those of the reference whose length is closest to
-    the hypothesis length (shorter wins ties).
+    the hypothesis length (shorter wins ties).  Clipping against the union
+    of several references is a different statistic from ``pair_stats``'s.
     """
     if not refs:
         raise ValueError("at least one reference is required")
@@ -244,14 +274,11 @@ def char_ngram_counts(segment: str) -> NgramCounts:
 
 
 def char_ngram_stats(hyp: str, ref: str) -> NgramStats:
-    """Character n-gram statistics of orders 1..CHRF_ORDER.
+    """Character n-gram statistics of orders 1..CHRF_ORDER, from ``pair_stats``.
 
     Whitespace is removed from both segments before extraction.
     """
-    hyp_counts, ref_counts = char_ngram_counts(hyp), char_ngram_counts(ref)
-    return ngram_stats(
-        ngram_totals(hyp_counts), ngram_totals(ref_counts), ngram_matches(hyp_counts, ref_counts)
-    )
+    return pair_stats([(hyp, ref)], char_ngram_counts)[0]
 
 
 def score_from_chrf_stats(stats: NgramStats) -> MetricScore:

@@ -28,7 +28,6 @@ from .errors import DataError, validated
 from .textio import read_text
 
 SPEAKERS = ("customer", "agent")
-TURN_FIELDS = ("speaker", "src_lang", "tgt_lang", "source", "mt")  # required strings
 
 INSTRUCTION_TEMPLATE = (
     "Translate the following sentence into {tgt_lang} with a style bias towards Natural:"
@@ -71,6 +70,9 @@ class ChatTurn(NamedTuple):
             raise DataError(f"src_lang and tgt_lang are both {self.src_lang!r}")
         if self.source == "":
             raise DataError("turn source must not be empty")
+
+
+TURN_FIELDS = ChatTurn._fields[:-1]  # required strings: every field but ``reference``
 
 
 @validated

@@ -22,6 +22,7 @@ from mbrforge.bridge import MAX_BATCH_SIZE, MAX_TIMEOUT, BridgeConfig
 from mbrforge.checkpoint import TensorStore
 from mbrforge.errors import EXIT_OK, DataError
 from mbrforge.promptgen import ChatDocument, ChatTurn
+from mbrforge.selftrain import FilterConfig
 from mbrforge.textio import read_segments
 from fixtures import (
     GOLDEN_DIR,
@@ -1120,6 +1121,93 @@ class TestNumericFlags:
                        str(tmp_path / "st"), "--min-tokens", "3", "--max-tokens", "2"])
         assert rc == 3
         assert "min_tokens must not exceed max_tokens" in capsys.readouterr().err
+
+
+class TestCorpusPrefixes:
+    """A corpus prefix must end in a file name; one that does not reads and writes nothing."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name in ("s.txt", "t.txt", "c.src", "c.tgt"):
+            write_lines(tmp_path / name, ["a b", "c"])
+        return tmp_path
+
+    @pytest.mark.parametrize("value", ["", ".", "/", ".."])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["build-st", "--src", "s.txt", "--mt", "t.txt"], "--out-prefix"),
+            (["build-bt", "--tgt", "t.txt", "--bt", "s.txt"], "--out-prefix"),
+            (["merge", "--inputs", "c"], "--out-prefix"),
+            (["merge", "--out-prefix", "m", "--inputs", "c"], "--inputs"),
+        ],
+        ids=["build-st", "build-bt", "merge-out", "merge-inputs"],
+    )
+    def test_prefix_that_names_no_file_is_usage_error(self, workdir, capsys, argv, flag, value):
+        before = files_in(workdir)
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main([*argv, flag, value])
+        assert exc_info.value.code == 2
+        named = [line for line in capsys.readouterr().err.splitlines() if repr(value) in line]
+        assert named == [f"mbrforge {argv[0]}: error: argument {flag}: names no file: {value!r}"]
+        assert files_in(workdir) == before
+
+    def test_empty_matrix_out_is_io_error(self, workdir, capsys):
+        before = files_in(workdir)
+        argv = ["mbr", "--src", "s.txt", "--cand", "s.txt", "--cand", "t.txt", "--out", "o.txt",
+                "--matrix-out", ""]
+        assert cli.main(argv) == 5
+        assert capsys.readouterr().err == f"mbrforge: i/o error: {Path.cwd()}: is a directory\n"
+        assert files_in(workdir) == before
+
+
+class TestDefaultsMatchTheLibrary:
+    """The parser spells the library's defaults and bounds out a second time.
+
+    It does so on purpose: parsing leaves bridge, mbr and selftrain
+    unloaded.  These checks tie the two copies together.
+    """
+
+    @staticmethod
+    def actions(command: str) -> dict[str, argparse.Action]:
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return {action.dest: action for action in commands.choices[command]._actions}
+
+    def test_bridge_flags(self):
+        actions = self.actions("mbr")
+        dests = {"batch_size": "bridge_batch_size", "timeout": "bridge_timeout",
+                 "restart_on_failure": "bridge_restart"}
+        assert {field: actions[dest].default for field, dest in dests.items()} == (
+            BridgeConfig._field_defaults
+        )
+        batch_size, timeout = actions["bridge_batch_size"].type, actions["bridge_timeout"].type
+        assert batch_size(str(MAX_BATCH_SIZE)) == MAX_BATCH_SIZE
+        assert timeout(repr(MAX_TIMEOUT)) == MAX_TIMEOUT
+        with pytest.raises(argparse.ArgumentTypeError):
+            batch_size(str(MAX_BATCH_SIZE + 1))
+        with pytest.raises(argparse.ArgumentTypeError):
+            timeout(repr(math.nextafter(MAX_TIMEOUT, math.inf)))
+
+    def test_utility_spec(self):
+        actions = self.actions("mbr")
+        spec = mbr.UtilitySpec(
+            kind=f"native-{actions['utility'].default}",
+            include_self=actions["include_self"].default,
+        )
+        assert spec == mbr.UtilitySpec()
+
+    @pytest.mark.parametrize("command", ["build-st", "build-bt"])
+    def test_filter_config(self, command):
+        actions = self.actions(command)
+        config = FilterConfig(
+            max_length_ratio=actions["max_ratio"].default,
+            min_tokens=actions["min_tokens"].default,
+            max_tokens=actions["max_tokens"].default,
+            dedup=actions["dedup"].default,
+        )
+        assert config == FilterConfig()
 
 
 class TestHelp:

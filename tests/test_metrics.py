@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +23,7 @@ from mbrforge.metrics import (
     corpus_chrf,
     corpus_stats,
     ngram_counts,
+    pair_stats,
     score_from_bleu_stats,
     score_from_chrf_stats,
     sentence_bleu,
@@ -328,6 +331,13 @@ class TestExactStatistics:
     def test_chrf_stats_equal_oracle_counts(self, hyp, ref):
         assert char_ngram_stats(hyp, ref) == oracle_chrf_counts(hyp, ref)
 
+    @given(st.lists(st.tuples(segment_st, segment_st), max_size=6))
+    def test_pair_stats_equal_oracle_counts_of_each_pair(self, pairs):
+        pairs += [(ref, hyp) for hyp, ref in pairs] + pairs  # both orientations and repeats
+        assert pair_stats(pairs, char_ngram_counts) == [
+            oracle_chrf_counts(hyp, ref) for hyp, ref in pairs
+        ]
+
     @settings(max_examples=200)
     @given(tokens_st, st.lists(tokens_st, min_size=1, max_size=3))
     def test_bleu_counts_equal_brute_force(self, hyp, refs):
@@ -438,3 +448,17 @@ class TestValidation:
     def test_score_from_empty_hyp_stats(self):
         stats = [(0, 3, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)]
         assert score_from_bleu_stats(stats).value == 0.0
+
+
+def test_only_metrics_builds_ngram_statistics():
+    # Totals, clipped matches and their statistics are built in metrics
+    # alone, so a new match kernel or statistic changes one module.
+    src = Path(__file__).parent.parent / "src" / "mbrforge"
+    names = re.compile(r"\b(ngram_totals|ngram_matches|ngram_stats|_clipped_matches)\b")
+    found = {
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if names.search(line)
+    }
+    assert found and all(site.startswith("metrics.py:") for site in found), sorted(found)
