@@ -8,7 +8,8 @@ Modules:
 * selftrain  - self-training / back-translation corpus builders
 * checkpoint - TSF tensor container, averaging, LoRA merge, R-Drop penalty
 * promptgen  - streaming / context-aware / few-shot prompt rendering
-* textio     - segment files, alignment checks and staged, all-or-none output writes
+* textio     - segment files, alignment checks and staged output writes, replaced
+               together except the part-way states README lists
 * errors     - the exception hierarchy, its exit codes, and the @validated records
 * cli        - the mbrforge command
 """

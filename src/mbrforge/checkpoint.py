@@ -270,8 +270,9 @@ def lora_merge(base: TensorStore, adapter: LoraAdapter) -> TensorStore:
                 f"tensor {name!r}: adapter implies shape {expected}, "
                 f"base has {w.shape}"
             )
-        delta = scale * (b.astype(np.float64) @ a.astype(np.float64))
-        updates[name] = (w.astype(np.float64) + delta).astype(np.float32)
+        with np.errstate(over="ignore"):  # a value past float32 is inf, which add rejects
+            delta = scale * (b.astype(np.float64) @ a.astype(np.float64))
+            updates[name] = (w.astype(np.float64) + delta).astype(np.float32)
     merged = TensorStore()
     for name, arr in base.items():
         merged.add(name, updates.get(name, arr))

@@ -14,11 +14,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from .errors import EXIT_IO, EXIT_OK, DataError, MbrforgeError, UsageError
-from .textio import check_outputs, read_aligned, segment_lines, staged_outputs
+from .textio import check_outputs, names_file, read_aligned, segment_lines, staged_outputs
 
 if TYPE_CHECKING:
     from . import selftrain
@@ -63,7 +62,7 @@ def _utf8_text(text: str) -> str:
 
 def _corpus_prefix(text: str) -> str:
     """Argparse type for a corpus prefix, whose last component must name a file."""
-    if Path(text).name in ("", ".."):
+    if not names_file(text):
         raise argparse.ArgumentTypeError(f"names no file: {text!r}")
     return text
 

@@ -170,20 +170,21 @@ def merge_corpora(
     return ParallelCorpus(tuple(pair for pair, _ in tagged), tuple(tag for _, tag in tagged))
 
 
-def _corpus_files(prefix: Path) -> tuple[Path, ...]:
-    """The <prefix>.src, <prefix>.tgt and <prefix>.meta files of a corpus."""
-    return tuple(prefix.with_name(prefix.name + ext) for ext in (".src", ".tgt", ".meta"))
+def _corpus_files(prefix: str | Path) -> tuple[Path, ...]:
+    """The <prefix>.src, <prefix>.tgt and <prefix>.meta files of a corpus, suffixed as given."""
+    return tuple(Path(f"{prefix}{ext}") for ext in (".src", ".tgt", ".meta"))
 
 
 def write_corpus(
     corpus: ParallelCorpus, prefix: str | Path, write_meta: bool = True
 ) -> list[Path]:
-    """Write <prefix>.src / <prefix>.tgt (+ optional <prefix>.meta), all or none.
+    """Write <prefix>.src / <prefix>.tgt (+ optional <prefix>.meta).
 
+    They are replaced together, except the part-way states README lists.
     Without ``write_meta`` a stale <prefix>.meta is removed once the others
     are in place, so that ``read_corpus`` reads the new pairs as "genuine".
     """
-    src_path, tgt_path, meta_path = _corpus_files(Path(prefix))
+    src_path, tgt_path, meta_path = _corpus_files(prefix)
     paths = [src_path, tgt_path, meta_path] if write_meta else [src_path, tgt_path]
     with staged_outputs(paths, remove=() if write_meta else (meta_path,)) as files:
         for out, column in zip(files, (corpus.sources, corpus.targets, corpus.provenance)):
@@ -193,7 +194,7 @@ def write_corpus(
 
 def read_corpus(prefix: str | Path) -> ParallelCorpus:
     """Read a corpus written by write_corpus; missing .meta means all "genuine"."""
-    src_path, tgt_path, meta_path = _corpus_files(Path(prefix))
+    src_path, tgt_path, meta_path = _corpus_files(prefix)
     files = [src_path, tgt_path] + ([meta_path] if meta_path.exists() else [])
     sources, targets, *meta = read_aligned(*files)
     provenance = meta[0] if meta else ["genuine"] * len(sources)

@@ -4,6 +4,7 @@ Segment files are UTF-8, one segment per line, LF line endings; a trailing
 LF on the final line is optional and ignored on read.  A CR is content, not
 a line break.  Outputs are written into temp files and renamed into place
 together; README lists the part-way states a failed rename or unlink leaves.
+``names_file`` alone decides whether an output path, as given, names a file.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ def segment_lines(segments: Sequence[str]) -> bytes:
     return text.encode("utf-8")
 
 
+def names_file(path: str | Path) -> bool:
+    """Whether the last component of ``path``, as given, names a file: ``out/`` names none."""
+    return os.path.basename(path) not in ("", ".", "..")
+
+
 def _existing_mode(path: Path) -> int | None:
     """Permission bits of an existing regular file, None if there is no file."""
     try:
@@ -70,10 +76,10 @@ def check_outputs(
 ) -> dict[Path, int | None]:
     """Check that every output in ``paths`` can be replaced and each ``remove`` path unlinked.
 
-    Each target must be a regular file or absent in a directory that
-    exists, no two outputs may be one file and no ``remove`` path may be
-    a directory.  Returns each resolved target with the mode it keeps
-    (None for a new file), in the order of ``paths``.
+    Each output must pass ``names_file`` as given; its target must be a
+    regular file or absent in a directory that exists, no two outputs may
+    be one file and no ``remove`` path may be a directory.  Returns each
+    resolved target with the mode it keeps (None if new), in ``paths`` order.
     """
     targets: dict[Path, str | Path] = {}  # resolved target -> the output that names it
     for target in paths:
@@ -82,6 +88,9 @@ def check_outputs(
             raise UsageError(f"outputs {targets[path]} and {target} are the same file")
         targets[path] = target
     modes = {path: _existing_mode(path) for path in targets}
+    for target in paths:  # realpath drops a trailing "/" or "/.", which open would refuse
+        if not names_file(target):
+            raise OSError(f"{target}: names no file")
     for path in map(Path, remove):
         if path.is_dir() and not path.is_symlink():  # unlink drops a link, not its target
             raise IsADirectoryError(f"{path}: is a directory")

@@ -440,6 +440,14 @@ class TestLoraMerge:
         with pytest.raises(DataError, match=r"implies shape \(1, 2\)"):
             lora_merge(TensorStore({"w": f32([[1.0]])}), adapter)
 
+    @pytest.mark.parametrize("b", [1.0, 4.0], ids=["cast-overflow", "multiply-overflow"])
+    def test_overflow_is_data_error_without_warning(self, b):
+        # Warnings are errors here, so a numpy overflow warning fails the test.
+        big = np.finfo(np.float64).max
+        adapter = LoraAdapter(rank=1, alpha=big, targets=(("w", f32([[1.0]]), f32([[b]])),))
+        with pytest.raises(DataError, match="non-finite"):
+            lora_merge(TensorStore({"w": f32([[1.0]])}), adapter)
+
     def test_adapter_validation(self):
         with pytest.raises(DataError, match="rank"):
             LoraAdapter(rank=0, alpha=1.0, targets=())

@@ -1161,6 +1161,17 @@ class TestCorpusPrefixes:
         assert capsys.readouterr().err == f"mbrforge: i/o error: {Path.cwd()}: is a directory\n"
         assert files_in(workdir) == before
 
+    @pytest.mark.parametrize("value", ["out/", "out/.", "s.txt/", "s.txt/."])
+    @pytest.mark.parametrize("flag", ["--out", "--matrix-out"])
+    def test_output_that_names_no_file_is_io_error(self, workdir, capsys, flag, value):
+        # Dropping the "/" would name out or the input s.txt, which must stay as it is.
+        before = files_in(workdir)
+        outputs = ["--out", value] if flag == "--out" else ["--out", "o.txt", flag, value]
+        assert cli.main(["mbr", "--src", "s.txt", "--cand", "s.txt", "--cand", "t.txt",
+                         *outputs]) == 5
+        assert capsys.readouterr().err == f"mbrforge: i/o error: {value}: names no file\n"
+        assert files_in(workdir) == before
+
 
 class TestDefaultsMatchTheLibrary:
     """The parser spells the library's defaults and bounds out a second time.

@@ -258,3 +258,17 @@ def test_only_textio_changes_files():
         if calls.search(line)
     }
     assert found and all(site.startswith("textio.py:") for site in found), sorted(found)
+
+
+def test_only_textio_resolves_output_paths():
+    # realpath, resolve and with_name drop a trailing "/" or "/.", so only
+    # textio, after names_file, may normalise a path that names an output.
+    src = Path(__file__).parent.parent / "src" / "mbrforge"
+    calls = re.compile(r"realpath\(|\.resolve\(|\.with_name\(")
+    found = {
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if calls.search(line)
+    }
+    assert found and all(site.startswith("textio.py:") for site in found), sorted(found)
