@@ -268,14 +268,21 @@ def run_scorer_loop(
     Reads UTF-8 request lines until EOF and answers each request with
     ``repr(float(score_fn(request)))``, so a numpy or torch scalar is
     written as a plain number, and each blank line with a blank line.
-    Every line written is flushed at once.
+    Every line written is flushed at once.  A line that is not UTF-8 raises
+    ``ProtocolError`` naming its line number and byte offset.
     """
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else sys.stdout.buffer
-    for line in stdin:
+    for number, line in enumerate(stdin, 1):
         line = line.rstrip(b"\n")
         if line:
-            request = decode_request(line.decode("utf-8"))
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ProtocolError(
+                    f"request line {number} is not valid UTF-8 at byte {exc.start}: {exc.reason}"
+                ) from None
+            request = decode_request(text)
             line = repr(float(score_fn(request))).encode()
         stdout.write(line + b"\n")
         stdout.flush()

@@ -22,9 +22,10 @@ Both metrics share one statistics format, ``NgramStats``: per n-gram
 order, the tuple ``(hyp_total, ref_total, matched)``.  ``ngram_stats``
 builds it from per-order totals and clipped matches, and corpus scores sum
 it per order.  One pair loop, ``pair_stats``, builds it for single-reference
-pairs: sentence and corpus chrF and both native MBR utilities call it, and
-it counts each distinct string and each unordered pair once per call.
-BLEU's hypothesis and reference lengths are the unigram totals.
+pairs: sentence chrF, corpus chrF and BLEU and both native MBR utilities
+call it, and it counts each distinct string and each unordered pair once
+per call.  ``bleu_stats`` is the multi-reference statistic of sentence
+BLEU.  BLEU's hypothesis and reference lengths are the unigram totals.
 
 One builder, ``ngram_counts``, counts the n-grams of both metrics: each
 order is the order below joined with the next unit by ``map``, in C, over
@@ -165,7 +166,9 @@ def pair_stats(
     Each distinct string's ``features`` and totals are built once per call,
     and each unordered pair's clipped matches once: the match table is keyed
     by first-occurrence indices ``(i, j)`` with ``i <= j``, and a string's
-    matches against itself are its totals.  Nothing outlives the call.
+    matches against itself are its totals.  Every distinct string's counts
+    are held until the call returns, so a caller passes one segment's pairs
+    (MBR) or one pair (the corpus metrics), never a whole corpus.
     """
     index: dict[Any, int] = {}
     for hyp, ref in pairs:
@@ -185,24 +188,25 @@ def pair_stats(
 
 
 def corpus_stats(
-    hyps: Sequence, refs: Sequence, stats_of: Callable[[Any, Any], NgramStats]
+    hyps: Sequence, refs: Sequence, features: Callable[[Any], NgramCounts]
 ) -> NgramStats:
-    """Statistics of aligned segment pairs, summed per order (micro-averaging)."""
+    """``pair_stats`` of aligned segment pairs, one pair at a time, summed per order."""
     require_aligned({"hyps": len(hyps), "refs": len(refs)})
     if not hyps:
         raise ValueError("corpus must contain at least one segment")
-    per_segment = [stats_of(hyp, ref) for hyp, ref in zip(hyps, refs)]
-    return [tuple(map(sum, zip(*order))) for order in zip(*per_segment)]
+    per_pair = [pair_stats([pair], features)[0] for pair in zip(hyps, refs)]
+    return [tuple(map(sum, zip(*order))) for order in zip(*per_pair)]
 
 
 def bleu_stats(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> NgramStats:
     """Word n-gram statistics of one tokenized hypothesis against its references.
 
-    Clipping caps each hypothesis n-gram count at the maximum count seen in
-    any single reference, i.e. ``hyp & (ref1 | ref2 | ...)``.  The
-    ``ref_total``s are those of the reference whose length is closest to
-    the hypothesis length (shorter wins ties).  Clipping against the union
-    of several references is a different statistic from ``pair_stats``'s.
+    ``sentence_bleu``'s statistic.  Clipping caps each hypothesis n-gram
+    count at the maximum count seen in any single reference, i.e.
+    ``hyp & (ref1 | ref2 | ...)``.  The ``ref_total``s are those of the
+    reference whose length is closest to the hypothesis length (shorter
+    wins ties).  With one reference this is ``pair_stats``'s statistic,
+    which corpus BLEU runs; clipping against the union of several is not.
     """
     if not refs:
         raise ValueError("at least one reference is required")
@@ -264,21 +268,13 @@ def corpus_bleu(
     One reference per hypothesis; use sentence_bleu for multi-reference
     scoring.
     """
-    stats = corpus_stats(hyps, refs, lambda hyp, ref: bleu_stats(hyp, [ref]))
+    stats = corpus_stats(list(map(tuple, hyps)), list(map(tuple, refs)), word_ngram_counts)
     return score_from_bleu_stats(stats, smoothing)
 
 
 def char_ngram_counts(segment: str) -> NgramCounts:
     """Character n-gram counts for orders 1..CHRF_ORDER, whitespace removed."""
     return ngram_counts("".join(segment.split()), CHRF_ORDER)
-
-
-def char_ngram_stats(hyp: str, ref: str) -> NgramStats:
-    """Character n-gram statistics of orders 1..CHRF_ORDER, from ``pair_stats``.
-
-    Whitespace is removed from both segments before extraction.
-    """
-    return pair_stats([(hyp, ref)], char_ngram_counts)[0]
 
 
 def score_from_chrf_stats(stats: NgramStats) -> MetricScore:
@@ -307,9 +303,9 @@ def score_from_chrf_stats(stats: NgramStats) -> MetricScore:
 
 def sentence_chrf(hyp: str, ref: str) -> MetricScore:
     """chrF of one hypothesis segment against one reference segment."""
-    return score_from_chrf_stats(char_ngram_stats(hyp, ref))
+    return score_from_chrf_stats(pair_stats([(hyp, ref)], char_ngram_counts)[0])
 
 
 def corpus_chrf(hyps: Sequence[str], refs: Sequence[str]) -> MetricScore:
     """Micro-averaged chrF: per-order counts summed over segments first."""
-    return score_from_chrf_stats(corpus_stats(hyps, refs, char_ngram_stats))
+    return score_from_chrf_stats(corpus_stats(hyps, refs, char_ngram_counts))

@@ -1,8 +1,9 @@
-"""Shared test data: toy chat documents and their JSONL form."""
+"""Shared test data and helpers: toy chat documents, their JSONL form, a memory probe."""
 
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 from mbrforge.promptgen import ChatDocument, ChatTurn
@@ -116,3 +117,13 @@ def write_doc_jsonl(doc: ChatDocument, path: Path) -> None:
 
 def read_golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_bytes().decode("utf-8")
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the most memory it held at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

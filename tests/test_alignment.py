@@ -14,7 +14,7 @@ import pytest
 from mbrforge import cli
 from mbrforge.errors import EXIT_DATA, AlignmentError
 from mbrforge.mbr import CandidateSet
-from mbrforge.metrics import char_ngram_stats, corpus_stats
+from mbrforge.metrics import char_ngram_counts, corpus_stats
 from mbrforge.selftrain import ParallelCorpus, build_bt_corpus, build_st_corpus, read_corpus
 
 
@@ -31,7 +31,7 @@ def misaligned_message(counts: dict[str, int]) -> str:
 # Each site takes a scratch directory and returns the call that must fail
 # and the inputs, with their counts, that its message must name in order.
 def corpus_stats_site(tmp_path):
-    call = partial(corpus_stats, ["a", "b"], ["a"], char_ngram_stats)
+    call = partial(corpus_stats, ["a", "b"], ["a"], char_ngram_counts)
     return call, {"hyps": 2, "refs": 1}
 
 

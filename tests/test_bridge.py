@@ -161,6 +161,14 @@ class TestScorerLoop:
         run_scorer_loop(lambda req: np.float32(0.1), stdin, stdout)
         assert stdout.getvalue() == b"0.10000000149011612\n\n"
 
+    def test_non_utf8_request_is_protocol_error(self):
+        # Replies already written stay written; the bad line names its number and byte.
+        stdin = io.BytesIO(encode_batch([ScoreRequest("s", "m", "r")]) + b"a\xff\tb\tc\n")
+        stdout = io.BytesIO()
+        with pytest.raises(ProtocolError, match=r"request line 3 is not valid UTF-8 at byte 1"):
+            run_scorer_loop(lambda req: 1.0, stdin, stdout)
+        assert stdout.getvalue() == b"1.0\n\n"
+
 
 class TestRepoScorers:
     """Every scorer in the repo ends each batch's replies with a blank line."""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import traced_peak
 from mbrforge import cli
 from mbrforge.checkpoint import (
     DEFAULT_REG_ALPHA,
@@ -222,16 +222,6 @@ class TestTensorStore:
         assert not parsed["w"].flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             parsed["w"][0] = 5.0
-
-
-def traced_peak(fn):
-    """``fn()``'s result and the most memory it held at once, by tracemalloc."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestTsfMemory:

@@ -1,4 +1,4 @@
-"""Fuzz the three input parsers and sweep the CLI's exit contract.
+"""Fuzz the input parsers and the scorer loop, and sweep the CLI's exit contract.
 
 A parser may reject input only with ``DataError`` or ``ProtocolError``;
 any other exception escaping it is a bug the CLI would report as a
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from fixtures import toy_chat_doc, write_doc_jsonl
 from mbrforge import cli
-from mbrforge.bridge import decode_request
+from mbrforge.bridge import decode_request, run_scorer_loop
 from mbrforge.checkpoint import TSF_MAGIC, TensorStore
 from mbrforge.errors import (
     EXIT_BRIDGE,
@@ -105,6 +105,23 @@ def test_decode_request(line):
     try:
         decode_request(line)
     except (DataError, ProtocolError):
+        pass
+
+
+# Request lines: raw bytes, and pieces that make tabs, escapes and broken
+# UTF-8 sequences likely, so that some lines reach decode_request.
+request_lines = st.binary(max_size=30) | st.lists(
+    st.sampled_from([b"\t", b"\\", b"\\t", b"a", b"\xc3\xa9", b"\xc3", b"\xff", b"\xed\xa0\x80"]),
+    max_size=8,
+).map(b"".join)
+
+
+@FUZZ
+@given(st.lists(request_lines, max_size=4))
+def test_run_scorer_loop(lines):
+    try:
+        run_scorer_loop(lambda req: 0.5, io.BytesIO(b"\n".join(lines)), io.BytesIO())
+    except ProtocolError:
         pass
 
 

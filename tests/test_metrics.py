@@ -12,13 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fixtures import traced_peak
 from mbrforge.errors import AlignmentError
 from mbrforge.mbr import UtilitySpec, make_scorer
 from mbrforge.metrics import (
     MetricScore,
     bleu_stats,
     char_ngram_counts,
-    char_ngram_stats,
     corpus_bleu,
     corpus_chrf,
     corpus_stats,
@@ -184,9 +184,7 @@ class TestBleuFrozen:
     def test_stats_are_summable(self):
         a = bleu_stats(["a", "b"], [["a", "b"]])
         b = bleu_stats(["c"], [["c", "d"]])
-        total = corpus_stats(
-            [["a", "b"], ["c"]], [["a", "b"], ["c", "d"]], lambda hyp, ref: bleu_stats(hyp, [ref])
-        )
+        total = corpus_stats([("a", "b"), ("c",)], [("a", "b"), ("c", "d")], word_ngram_counts)
         assert total[0][2] == a[0][2] + b[0][2]
         assert total[0][0] == 3
         assert total[0][1] == 4
@@ -215,7 +213,7 @@ class TestChrfFrozen:
         assert sentence_chrf("abc", "").value == 0.0
 
     def test_char_stats(self):
-        stats = char_ngram_stats("cab", "cat")
+        stats = pair_stats([("cab", "cat")], char_ngram_counts)[0]
         assert stats[0] == (3, 3, 2)
         assert stats[1] == (2, 2, 1)
         assert stats[2] == (1, 1, 0)
@@ -281,6 +279,30 @@ class TestCorpus:
         assert twice == pytest.approx(once, abs=1e-9)
 
 
+class TestCorpusMemory:
+    """The corpus metrics hold one pair's n-gram counts at a time, not the corpus's."""
+
+    PAIRS = 2000
+    LIMIT = 8 * 2**20  # bytes; one pair_stats call over these pairs peaks at 145-170 MB
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = random.Random(33)
+        vocab = ["".join(rng.choices("abcdefghij", k=rng.randint(2, 8))) for _ in range(500)]
+        lines = [
+            " ".join(rng.choices(vocab, k=rng.randint(15, 25))) for _ in range(2 * self.PAIRS)
+        ]
+        return lines[: self.PAIRS], lines[self.PAIRS :]
+
+    def test_corpus_chrf_peak(self, corpus):
+        hyps, refs = corpus
+        assert traced_peak(lambda: corpus_chrf(hyps, refs))[1] < self.LIMIT
+
+    def test_corpus_bleu_peak(self, corpus):
+        hyps, refs = (list(map(tokenize, side)) for side in corpus)
+        assert traced_peak(lambda: corpus_bleu(hyps, refs))[1] < self.LIMIT
+
+
 class TestProperties:
     @given(nonempty_tokens_st)
     def test_bleu_identity(self, tokens):
@@ -329,7 +351,7 @@ class TestExactStatistics:
     @settings(max_examples=200)
     @given(segment_st, segment_st)
     def test_chrf_stats_equal_oracle_counts(self, hyp, ref):
-        assert char_ngram_stats(hyp, ref) == oracle_chrf_counts(hyp, ref)
+        assert pair_stats([(hyp, ref)], char_ngram_counts)[0] == oracle_chrf_counts(hyp, ref)
 
     @given(st.lists(st.tuples(segment_st, segment_st), max_size=6))
     def test_pair_stats_equal_oracle_counts_of_each_pair(self, pairs):
@@ -421,6 +443,24 @@ class TestExactScores:
             assert corpus_chrf(hyp_texts, ref_texts).value == oracle_corpus_chrf(
                 hyp_texts, ref_texts
             ), trial
+
+    def test_corpus_bleu_equals_summed_bleu_stats(self):
+        # corpus_stats runs pair_stats; bleu_stats with one reference is the same statistic.
+        rng = random.Random(2026)
+        for trial in range(300):
+            hyps, refs = [], []
+            for _ in range(rng.randint(1, 6)):
+                hyp = rng.choice([[], self.random_tokens(rng)])
+                ref = rng.choice([[], list(hyp), self.random_tokens(rng)])
+                hyps.append(hyp)
+                refs.append(ref)
+            rows = [bleu_stats(hyp, [ref]) for hyp, ref in zip(hyps, refs)]
+            summed = [tuple(map(sum, zip(*order))) for order in zip(*rows)]
+            token_tuples = [list(map(tuple, side)) for side in (hyps, refs)]
+            assert corpus_stats(*token_tuples, word_ngram_counts) == summed, trial
+            for smoothing in ("none", "add-k"):
+                got = corpus_bleu(hyps, refs, smoothing=smoothing).value
+                assert got == score_from_bleu_stats(summed, smoothing).value, (trial, smoothing)
 
 
 class TestValidation:
