@@ -10,7 +10,8 @@ Modules:
 * promptgen  - streaming / context-aware / few-shot prompt rendering
 * textio     - segment files, alignment checks and staged output writes, replaced
                together except the part-way states README lists
-* errors     - the exception hierarchy, its exit codes, and the @validated records
+* errors     - the exception hierarchy, its exit codes, the @validated records, and
+               located, which names the segment, file or line an error came from
 * cli        - the mbrforge command
 """
 

@@ -29,6 +29,7 @@ from .errors import (
     BridgeTimeoutError,
     DataError,
     ProtocolError,
+    located,
     validated,
 )
 
@@ -282,7 +283,8 @@ def run_scorer_loop(
                 raise ProtocolError(
                     f"request line {number} is not valid UTF-8 at byte {exc.start}: {exc.reason}"
                 ) from None
-            request = decode_request(text)
+            with located(f"request line {number}"):
+                request = decode_request(text)
             line = repr(float(score_fn(request))).encode()
         stdout.write(line + b"\n")
         stdout.flush()

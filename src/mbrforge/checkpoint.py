@@ -17,12 +17,13 @@ changing the format.
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, InfiniteDivergenceError, validated
+from .errors import DataError, InfiniteDivergenceError, located, validated
 from .textio import staged_outputs
 
 TSF_MAGIC = b"TSF1"
@@ -133,15 +134,15 @@ class TensorStore:
             if len(parts) != 3 or parts[1] != "f32":
                 raise DataError(f"malformed TSF header line: {line!r}")
             name, _dtype, dims = parts
-            try:
-                shape = tuple(int(d) for d in dims.split(","))
+            # Only the form serialize writes: int() also takes " 2", "02", "1_1" and "\u0661".
+            if not re.fullmatch(r"[1-9][0-9]*(?:,[1-9][0-9]*)*", dims):
+                raise DataError(f"bad shape in TSF header: {line!r}")
+            try:  # int() and str() refuse more digits than sys.get_int_max_str_digits()
+                shape = tuple(map(int, dims.split(",")))
+                nbytes = math.prod(shape) * 4
+                str(nbytes)  # the message below names it
             except ValueError as exc:
                 raise DataError(f"bad shape in TSF header: {line!r}") from exc
-            # Only the decimal form serialize writes: int() also takes " 2", "02" and "1_1".
-            if ",".join(map(str, shape)) != dims or any(d < 1 for d in shape):
-                raise DataError(f"bad shape in TSF header: {line!r}")
-            count = math.prod(shape)
-            nbytes = count * 4
             chunk = body[offset : offset + nbytes]
             if len(chunk) != nbytes:
                 raise DataError(
@@ -161,10 +162,8 @@ class TensorStore:
     @classmethod
     def load(cls, path: str | Path) -> "TensorStore":
         data = Path(path).read_bytes()
-        try:
+        with located(path):
             return cls.parse(data)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from exc
 
 
 def average_checkpoints(stores: Iterable[TensorStore]) -> TensorStore:

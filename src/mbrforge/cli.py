@@ -105,9 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-v",
         "--verbose",
-        action="count",
-        default=0,
-        help="increase log verbosity (repeatable)",
+        action="store_true",
+        help="report progress on stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -418,11 +417,13 @@ def _checkpoint_layer():
 
 
 def cmd_avg(args: argparse.Namespace) -> None:
+    check_outputs([args.out])  # a bad output path fails before any checkpoint is read
     checkpoint = _checkpoint_layer()  # numpy loads only for the commands that need it
     checkpoint.average_checkpoints(map(checkpoint.TensorStore.load, args.inputs)).save(args.out)
 
 
 def cmd_lora_merge(args: argparse.Namespace) -> None:
+    check_outputs([args.out])
     checkpoint = _checkpoint_layer()
     base = checkpoint.TensorStore.load(args.base)
     adapter = checkpoint.adapter_from_store(

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by the library and the CLI, and the decorator
-of the records whose checks raise it.
+"""Exception hierarchy shared by the library and the CLI, the decorator
+of the records whose checks raise it, and the rule that says where an
+error happened.
 
 A ``@validated`` named tuple defines ``_check(self) -> None``, which raises
 on the first bad field, in place of a ``__new__`` of its own.
+``with located(place):`` puts ``place: `` before a toolkit error raised in
+its block and keeps the error's type: a segment, file, record or request line.
 
 Exit codes reported by the CLI: 0 ok, 2 usage error, 3 alignment/data
 error, 4 bridge error, 5 I/O error.
@@ -10,8 +13,9 @@ error, 4 bridge error, 5 I/O error.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-from typing import TypeVar
+from typing import Iterator, TypeVar
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -91,3 +95,12 @@ def validated(cls: _Record) -> _Record:
     cls._make = classmethod(lambda cls, iterable: cls(*iterable))
     cls.__reduce__ = lambda self: (self.__class__, tuple(self))
     return cls
+
+
+@contextlib.contextmanager
+def located(place: object) -> Iterator[None]:
+    """Re-raise a ``MbrforgeError`` from the block as ``type(exc)(f"{place}: {exc}")``."""
+    try:
+        yield
+    except MbrforgeError as exc:
+        raise type(exc)(f"{place}: {exc}") from exc

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import metrics
-from .errors import DataError, MbrforgeError, validated
+from .errors import DataError, located, validated
 from .textio import read_aligned, require_aligned
 
 if TYPE_CHECKING:
@@ -241,9 +241,8 @@ def segment_matrices(
         def run(index: int) -> UtilityMatrix:
             scorer = idle.pop()
             try:
-                return utility_matrix(cset, index, spec, scorer)
-            except MbrforgeError as exc:
-                raise type(exc)(f"segment {index}: {exc}") from exc
+                with located(f"segment {index}"):
+                    return utility_matrix(cset, index, spec, scorer)
             finally:
                 idle.append(scorer)
 

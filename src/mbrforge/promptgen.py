@@ -24,7 +24,7 @@ import re
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import DataError, validated
+from .errors import DataError, located, validated
 from .textio import read_text
 
 SPEAKERS = ("customer", "agent")
@@ -273,39 +273,33 @@ def read_chat_documents(path: str | Path) -> list[ChatDocument]:
     for lineno, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
-        where = f"{path}:{lineno}"
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise DataError(f"{where}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise DataError(f"{where}: expected a JSON object, got {type(record).__name__}")
-        try:
-            doc_id = record["doc_id"]
-            turn_index = record["turn_index"]
-            fields = {name: record[name] for name in TURN_FIELDS}
-        except KeyError as exc:
-            raise DataError(f"{where}: missing field {exc}") from exc
-        if type(doc_id) is int:
-            doc_id = str(doc_id)
-        elif not isinstance(doc_id, str):
-            raise DataError(
-                f"{where}: field 'doc_id' must be a string or an integer, "
-                f"got {type(doc_id).__name__}"
-            )
-        if type(turn_index) is not int:
-            raise DataError(
-                f"{where}: turn_index must be an integer, got {type(turn_index).__name__}"
-            )
-        try:
+        with located(f"{path}:{lineno}"):
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise DataError(f"invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise DataError(f"expected a JSON object, got {type(record).__name__}")
+            try:
+                doc_id = record["doc_id"]
+                turn_index = record["turn_index"]
+                fields = {name: record[name] for name in TURN_FIELDS}
+            except KeyError as exc:
+                raise DataError(f"missing field {exc}") from exc
+            if type(doc_id) is int:
+                doc_id = str(doc_id)
+            elif not isinstance(doc_id, str):
+                raise DataError(
+                    f"field 'doc_id' must be a string or an integer, got {type(doc_id).__name__}"
+                )
+            if type(turn_index) is not int:
+                raise DataError(f"turn_index must be an integer, got {type(turn_index).__name__}")
             _check_text("doc_id", doc_id)
             turn = ChatTurn(**fields, reference=record.get("reference"))
-        except DataError as exc:
-            raise DataError(f"{where}: {exc}") from exc
-        turns = grouped.setdefault(doc_id, {})
-        if turn_index in turns:
-            raise DataError(f"{where}: duplicate turn {turn_index} in {doc_id!r}")
-        turns[turn_index] = turn
+            turns = grouped.setdefault(doc_id, {})
+            if turn_index in turns:
+                raise DataError(f"duplicate turn {turn_index} in {doc_id!r}")
+            turns[turn_index] = turn
     documents = []
     for doc_id, turns in grouped.items():
         ordered = tuple(turns[i] for i in sorted(turns))

@@ -15,7 +15,7 @@ import random
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DataError, validated
+from .errors import DataError, located, validated
 from .textio import read_aligned, require_aligned, segment_lines, staged_outputs
 
 PROVENANCE_TAGS = ("genuine", "self-train", "back-translate")
@@ -198,4 +198,5 @@ def read_corpus(prefix: str | Path) -> ParallelCorpus:
     files = [src_path, tgt_path] + ([meta_path] if meta_path.exists() else [])
     sources, targets, *meta = read_aligned(*files)
     provenance = meta[0] if meta else ["genuine"] * len(sources)
-    return ParallelCorpus(tuple(zip(sources, targets)), tuple(provenance))
+    with located(meta_path):  # the tags are the only field that can be bad here
+        return ParallelCorpus(tuple(zip(sources, targets)), tuple(provenance))

@@ -1,6 +1,7 @@
 """The benchmark's own output check, run as a test.
 
-Each workload that BENCHMARK.json declares runs once through
+Each workload that BENCHMARK.json declares, and mbr-bridge, the only
+workload that runs the external scorer path, runs once through
 ``perfbench/run.py --seconds 0``, which makes the fewest invocations the
 harness allows.  The harness checks every output against the oracles and
 the default seed's outputs against ``perfbench/digests.json``, so a change
@@ -20,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [
     workload["name"]
     for workload in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
-]
+] + ["mbr-bridge"]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -169,6 +169,15 @@ class TestScorerLoop:
             run_scorer_loop(lambda req: 1.0, stdin, stdout)
         assert stdout.getvalue() == b"1.0\n\n"
 
+    def test_short_request_names_its_line(self):
+        stdin = io.BytesIO(b"ok\tok\tok\na\tb\n")
+        stdout = io.BytesIO()
+        with pytest.raises(
+            ProtocolError, match=r"^request line 2: expected 3 tab-separated fields, got 2$"
+        ):
+            run_scorer_loop(lambda req: 1.0, stdin, stdout)
+        assert stdout.getvalue() == b"1.0\n"
+
 
 class TestRepoScorers:
     """Every scorer in the repo ends each batch's replies with a blank line."""

@@ -184,6 +184,25 @@ class TestTensorStore:
         with pytest.raises(DataError, match=match):
             TensorStore.parse(data)
 
+    @pytest.mark.parametrize(
+        "digits,match",
+        [
+            ((19,), "is short"),
+            ((4299,), "is short"),
+            # int() and str() refuse more than sys.get_int_max_str_digits() (4300) digits:
+            ((4300,), "bad shape in TSF header"),  # the byte count has 4301
+            ((5000,), "bad shape in TSF header"),
+            ((3000, 3000), "bad shape in TSF header"),
+        ],
+        ids=["19", "4299", "4300", "5000", "3000x3000"],
+    )
+    def test_long_dimension_is_data_error(self, tmp_path, digits, match):
+        dims = ",".join("9" * n for n in digits)
+        path = tmp_path / "long.tsf"
+        path.write_bytes(f"TSF1\nw\tf32\t{dims}\n\n".encode())
+        with pytest.raises(DataError, match=match):
+            TensorStore.load(path)
+
     @settings(max_examples=50)
     @given(stores_st())
     def test_round_trip_property(self, store):

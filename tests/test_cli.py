@@ -452,6 +452,19 @@ class TestCorpusCommands:
         assert "--tag" in capsys.readouterr().err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["bt.txt", "tgt.txt"]
 
+    def test_merge_names_the_meta_with_a_bad_tag(self, tmp_path, capsys):
+        for name in ("a", "b"):
+            write_lines(tmp_path / f"{name}.src", ["s"])
+            write_lines(tmp_path / f"{name}.tgt", ["t"])
+        write_lines(tmp_path / "b.meta", ["bogus"])
+        rc = cli.main(["merge", "--inputs", str(tmp_path / "a"), str(tmp_path / "b"),
+                       "--out-prefix", str(tmp_path / "all")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"mbrforge: error: {tmp_path / 'b.meta'}: unknown provenance tag: 'bogus'\n"
+        )
+        assert not (tmp_path / "all.src").exists()
+
     def test_merge_concatenates_and_shuffles(self, tmp_path):
         cli.main(
             [
@@ -683,6 +696,13 @@ class TestCheckpointCommands:
         assert rc == 3
         assert f"{bad}: not a TSF container (bad magic)" in capsys.readouterr().err
 
+    def test_avg_names_a_dimension_too_long_for_int(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsf"
+        bad.write_bytes(b"TSF1\nw\tf32\t" + b"9" * 5000 + b"\n\n")
+        rc = cli.main(["avg", "--inputs", str(bad), "--out", str(tmp_path / "o.tsf")])
+        assert rc == 3
+        assert f"mbrforge: error: {bad}: bad shape in TSF header: 'w" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "inputs,err",
         [
@@ -709,6 +729,21 @@ class TestCheckpointCommands:
         assert rc == 3
         assert capsys.readouterr().err == f"mbrforge: error: {err}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["avg", "lora-merge"])
+    def test_out_in_a_missing_directory_fails_before_any_input_is_read(
+        self, tmp_path, capsys, command
+    ):
+        bad = tmp_path / "bad.tsf"
+        bad.write_bytes(b"XSF1\n\n")
+        missing = tmp_path / "missing"
+        argv = {
+            "avg": ["avg", "--inputs", str(bad)],
+            "lora-merge": ["lora-merge", "--base", str(bad), "--adapter", str(bad),
+                           "--alpha", "1.0"],
+        }[command]
+        assert cli.main([*argv, "--out", str(missing / "x.tsf")]) == 5
+        assert capsys.readouterr().err == f"mbrforge: i/o error: {missing}: no such directory\n"
 
     def test_avg_out_may_name_an_input(self, tmp_path):
         a = tmp_path / "a.tsf"
@@ -1409,6 +1444,36 @@ class TestEntryPoints:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "0 []"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_external_mbr_loads_logging_only_for_a_thread_pool(
+        self, tmp_path, cand_files, workers
+    ):
+        # concurrent.futures imports logging; only a pool of scorer threads may load it.
+        src, a, b, c = cand_files
+        code = (
+            "import sys; from mbrforge import cli; rc = cli.main(sys.argv[1:]); "
+            "print(rc, sorted({'concurrent.futures', 'dataclasses', 'logging'}"
+            " & sys.modules.keys()))"
+        )
+        scorer = shlex.join([sys.executable, str(SCRIPTS / "chrf_scorer.py")])
+        argv = ["mbr", "--src", str(src), "--cand", str(a), "--cand", str(b),
+                "--cand", str(c), "--out", str(tmp_path / "out.txt"), "--utility", "external",
+                "--external-cmd", scorer, "--workers", workers]
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.returncode == 0, result.stderr
+        rc, loaded = result.stdout.split(" ", 1)
+        assert rc == "0"
+        assert "dataclasses" not in loaded
+        if workers == "1":
+            assert loaded.strip() == "[]"
+        assert read_segments(tmp_path / "out.txt") == ["the cat", "y y"]
 
     def test_no_module_loads_dataclasses_or_logging(self):
         modules = sorted(f"mbrforge.{p.stem}" for p in (SRC / "mbrforge").glob("*.py"))
