@@ -277,13 +277,13 @@ def run_scorer_loop(
     for number, line in enumerate(stdin, 1):
         line = line.rstrip(b"\n")
         if line:
-            try:
-                text = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ProtocolError(
-                    f"request line {number} is not valid UTF-8 at byte {exc.start}: {exc.reason}"
-                ) from None
             with located(f"request line {number}"):
+                try:
+                    text = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ProtocolError(
+                        f"not valid UTF-8 at byte {exc.start}: {exc.reason}"
+                    ) from None
                 request = decode_request(text)
             line = repr(float(score_fn(request))).encode()
         stdout.write(line + b"\n")

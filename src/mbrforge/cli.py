@@ -89,12 +89,26 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
 
 
 def _add_command(
-    sub, name: str, handler: Callable[[argparse.Namespace], None], help_text: str
+    sub,
+    name: str,
+    handler: Callable[[argparse.Namespace], None],
+    help_text: str,
+    outputs: Callable[[argparse.Namespace], tuple[list, list]] = lambda args: ([], []),
 ) -> argparse.ArgumentParser:
-    """Register one subcommand: its help line, the shared formatter and its handler."""
+    """Register one subcommand: its help line, formatter, handler and the outputs main checks."""
     parser = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
-    parser.set_defaults(func=handler)
+    parser.set_defaults(func=handler, outputs=outputs)
     return parser
+
+
+def _out(args: argparse.Namespace) -> tuple[list, list]:
+    return [args.out], []
+
+
+def _corpus_outputs(args: argparse.Namespace) -> tuple[list, list]:
+    from . import selftrain
+
+    return selftrain.corpus_outputs(args.out_prefix, args.write_meta)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,7 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _add_command(sub, "mbr", cmd_mbr, "select the minimum-risk candidate per segment")
+    p = _add_command(
+        sub,
+        "mbr",
+        cmd_mbr,
+        "select the minimum-risk candidate per segment",
+        lambda args: ([path for path in (args.out, args.matrix_out) if path is not None], []),
+    )
     p.add_argument("--src", required=True, help="source text file")
     p.add_argument(
         "--cand",
@@ -201,7 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers_flag(p, "accepted for compatibility; has no effect on eval")
 
     p = _add_command(
-        sub, "build-st", cmd_build_st, "build a self-training corpus from sources and translations"
+        sub,
+        "build-st",
+        cmd_build_st,
+        "build a self-training corpus from sources and translations",
+        _corpus_outputs,
     )
     p.add_argument("--src", required=True, help="monolingual source file")
     p.add_argument("--mt", required=True, help="forward translations (e.g. mbr output)")
@@ -213,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         "build-bt",
         cmd_build_bt,
         "build a back-translation corpus from targets and their back-translations",
+        _corpus_outputs,
     )
     p.add_argument("--tgt", required=True, help="monolingual target file")
     p.add_argument("--bt", required=True, help="back-translations of the target file")
@@ -226,7 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_filter_flags(p)
 
     p = _add_command(
-        sub, "merge", cmd_merge, "concatenate corpora, optionally shuffling deterministically"
+        sub,
+        "merge",
+        cmd_merge,
+        "concatenate corpora, optionally shuffling deterministically",
+        _corpus_outputs,
     )
     p.add_argument(
         "--inputs",
@@ -238,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out-prefix", type=_corpus_prefix, required=True)
     p.add_argument("--seed", type=int, default=None, help="shuffle seed")
+    p.set_defaults(write_meta=True)
 
-    p = _add_command(sub, "avg", cmd_avg, "average checkpoint tensors elementwise")
+    p = _add_command(sub, "avg", cmd_avg, "average checkpoint tensors elementwise", _out)
     p.add_argument(
         "--inputs",
         nargs="+",
@@ -251,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = _add_command(
-        sub, "lora-merge", cmd_lora_merge, "fold a low-rank adapter into base weights"
+        sub, "lora-merge", cmd_lora_merge, "fold a low-rank adapter into base weights", _out
     )
     p.add_argument("--base", required=True, help="base checkpoint (TSF)")
     p.add_argument(
@@ -268,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = _add_command(
-        sub, "prompts", cmd_prompts, "render chat documents into prompt/completion records"
+        sub, "prompts", cmd_prompts, "render chat documents into prompt/completion records", _out
     )
     p.add_argument("--mode", choices=["stream", "context", "fewshot"], required=True)
     p.add_argument("--doc", required=True, help="chat document file (JSONL turns)")
@@ -340,13 +370,11 @@ def cmd_mbr(args: argparse.Namespace) -> None:
         )
     kind = "external" if bridge is not None else f"native-{args.utility}"
     spec = mbr.UtilitySpec(kind=kind, include_self=args.include_self, bridge=bridge)
-    outputs = [args.out, args.matrix_out] if args.matrix_out is not None else [args.out]
-    check_outputs(outputs)  # a bad output path fails now, not after every segment is scored
     cset = mbr.load_candidates(args.cand, args.src)
     _info(args, f"selecting over {cset.num_segments} segments x {cset.num_systems} systems")
     matrices = mbr.segment_matrices(cset, spec, workers=args.workers)
     selection = mbr.selection_from_matrices(cset, matrices)
-    with staged_outputs(outputs) as files:
+    with staged_outputs(*args.outputs(args)) as files:
         files[0].write(segment_lines(selection.chosen))
         if args.matrix_out is not None:
             files[1].writelines(mbr.format_matrix_dump([m]).encode("utf-8") for m in matrices)
@@ -372,6 +400,8 @@ def cmd_eval(args: argparse.Namespace) -> None:
         values = [sentence(hyp, ref).value for hyp, ref in zip(hyps, refs)]
     else:
         values = [corpus(hyps, refs).value]
+    if sys.stdout is None:  # fd 1 was closed, and print would drop the scores
+        raise OSError("standard output is closed")
     for value in values:
         print(f"{value:.2f}")
 
@@ -399,7 +429,7 @@ def cmd_merge(args: argparse.Namespace) -> None:
 
     corpora = [selftrain.read_corpus(prefix) for prefix in args.inputs]
     merged = selftrain.merge_corpora(corpora, shuffle_seed=args.seed)
-    selftrain.write_corpus(merged, args.out_prefix, write_meta=True)
+    selftrain.write_corpus(merged, args.out_prefix, write_meta=args.write_meta)
 
 
 def _checkpoint_layer():
@@ -417,13 +447,11 @@ def _checkpoint_layer():
 
 
 def cmd_avg(args: argparse.Namespace) -> None:
-    check_outputs([args.out])  # a bad output path fails before any checkpoint is read
     checkpoint = _checkpoint_layer()  # numpy loads only for the commands that need it
     checkpoint.average_checkpoints(map(checkpoint.TensorStore.load, args.inputs)).save(args.out)
 
 
 def cmd_lora_merge(args: argparse.Namespace) -> None:
-    check_outputs([args.out])
     checkpoint = _checkpoint_layer()
     base = checkpoint.TensorStore.load(args.base)
     adapter = checkpoint.adapter_from_store(
@@ -462,6 +490,8 @@ def cmd_prompts(args: argparse.Namespace) -> None:
 
 def _flush_stdout() -> None:
     """Flush stdout; on failure point fd 1 at /dev/null, so the exit flush cannot fail again."""
+    if sys.stdout is None:  # fd 1 was closed, so nothing was written
+        return
     try:
         sys.stdout.flush()
     except OSError:
@@ -474,6 +504,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_outputs(*args.outputs(args))  # a bad output fails before any input is read
         args.func(args)
         _flush_stdout()  # a stdout that cannot be written is an i/o error, not exit 120
         return EXIT_OK

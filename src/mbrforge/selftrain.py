@@ -170,9 +170,10 @@ def merge_corpora(
     return ParallelCorpus(tuple(pair for pair, _ in tagged), tuple(tag for _, tag in tagged))
 
 
-def _corpus_files(prefix: str | Path) -> tuple[Path, ...]:
-    """The <prefix>.src, <prefix>.tgt and <prefix>.meta files of a corpus, suffixed as given."""
-    return tuple(Path(f"{prefix}{ext}") for ext in (".src", ".tgt", ".meta"))
+def corpus_outputs(prefix: str | Path, write_meta: bool = True) -> tuple[list[Path], list[Path]]:
+    """The <prefix>.src, .tgt and .meta a corpus write replaces or removes, suffixed as given."""
+    src, tgt, meta = (Path(f"{prefix}{ext}") for ext in (".src", ".tgt", ".meta"))
+    return ([src, tgt, meta], []) if write_meta else ([src, tgt], [meta])
 
 
 def write_corpus(
@@ -184,9 +185,8 @@ def write_corpus(
     Without ``write_meta`` a stale <prefix>.meta is removed once the others
     are in place, so that ``read_corpus`` reads the new pairs as "genuine".
     """
-    src_path, tgt_path, meta_path = _corpus_files(prefix)
-    paths = [src_path, tgt_path, meta_path] if write_meta else [src_path, tgt_path]
-    with staged_outputs(paths, remove=() if write_meta else (meta_path,)) as files:
+    paths, remove = corpus_outputs(prefix, write_meta)
+    with staged_outputs(paths, remove) as files:
         for out, column in zip(files, (corpus.sources, corpus.targets, corpus.provenance)):
             out.write(segment_lines(column))
     return paths
@@ -194,7 +194,7 @@ def write_corpus(
 
 def read_corpus(prefix: str | Path) -> ParallelCorpus:
     """Read a corpus written by write_corpus; missing .meta means all "genuine"."""
-    src_path, tgt_path, meta_path = _corpus_files(prefix)
+    (src_path, tgt_path, meta_path), _ = corpus_outputs(prefix)
     files = [src_path, tgt_path] + ([meta_path] if meta_path.exists() else [])
     sources, targets, *meta = read_aligned(*files)
     provenance = meta[0] if meta else ["genuine"] * len(sources)

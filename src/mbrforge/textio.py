@@ -15,7 +15,7 @@ from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
 
-from .errors import AlignmentError, DataError, UsageError
+from .errors import AlignmentError, DataError, UsageError, located
 
 
 def read_text(path: str | Path) -> str:
@@ -23,7 +23,8 @@ def read_text(path: str | Path) -> str:
     try:
         return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
+        with located(path):
+            raise DataError(f"not valid UTF-8 at byte {exc.start}") from exc
 
 
 def read_segments(path: str | Path) -> list[str]:

@@ -165,7 +165,7 @@ class TestScorerLoop:
         # Replies already written stay written; the bad line names its number and byte.
         stdin = io.BytesIO(encode_batch([ScoreRequest("s", "m", "r")]) + b"a\xff\tb\tc\n")
         stdout = io.BytesIO()
-        with pytest.raises(ProtocolError, match=r"request line 3 is not valid UTF-8 at byte 1"):
+        with pytest.raises(ProtocolError, match=r"^request line 3: not valid UTF-8 at byte 1: "):
             run_scorer_loop(lambda req: 1.0, stdin, stdout)
         assert stdout.getvalue() == b"1.0\n\n"
 

@@ -98,6 +98,15 @@ class TestMbrCommand:
         assert rc == EXIT_OK
         assert read_segments(out) == ["the cat", "y y"]
 
+    def test_closed_stdout_is_no_error(self, tmp_path, cand_files, capsys, monkeypatch):
+        # With fd 1 closed at start-up sys.stdout is None; mbr prints nothing.
+        src, a, b, c = cand_files
+        monkeypatch.setattr(sys, "stdout", None)
+        rc, out = run_mbr(tmp_path, src, [a, b, c])
+        assert rc == EXIT_OK
+        assert read_segments(out) == ["the cat", "y y"]
+        assert capsys.readouterr().err == ""
+
     def test_external_utility_matches_native(self, tmp_path, cand_files):
         src, a, b, c = cand_files
         rc_native, native_out = run_mbr(tmp_path, src, [a, b, c])
@@ -318,6 +327,13 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert str(hyp) in err and "UTF-8" in err
 
+
+    def test_closed_stdout_is_io_error(self, tmp_path, capsys, monkeypatch):
+        # With fd 1 closed at start-up sys.stdout is None, and print would drop the score.
+        hyp = write_lines(tmp_path / "hyp.txt", ["a b"])
+        monkeypatch.setattr(sys, "stdout", None)
+        assert cli.main(["eval", "--hyp", str(hyp), "--ref", str(hyp)]) == 5
+        assert capsys.readouterr().err == "mbrforge: i/o error: standard output is closed\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_stdout_that_cannot_be_written_is_io_error(self, tmp_path):
@@ -642,6 +658,30 @@ class TestMbrChecksOutputsFirst:
         assert err == f"mbrforge: i/o error: {missing}: no such directory\n"
         assert ".tmp" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mbr", "--src", "s", "--cand", "a", "--cand", "b", "--out", "missing/o",
+         "--matrix-out", "missing/m"],
+        ["build-st", "--src", "s", "--mt", "t", "--out-prefix", "missing/c"],
+        ["build-bt", "--tgt", "t", "--bt", "b", "--out-prefix", "missing/c"],
+        ["merge", "--inputs", "a", "b", "--out-prefix", "missing/c"],
+        ["avg", "--inputs", "a.tsf", "b.tsf", "--out", "missing/o.tsf"],
+        ["lora-merge", "--base", "a.tsf", "--adapter", "b.tsf", "--alpha", "1",
+         "--out", "missing/o.tsf"],
+        ["prompts", "--mode", "stream", "--doc", "c.jsonl", "--out", "missing/p"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_writing_command_checks_its_outputs_before_its_inputs(argv, tmp_path, monkeypatch, capsys):
+    # Every input is missing too, so a command that read one first would name it instead.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 5
+    missing = Path.cwd() / "missing"
+    assert capsys.readouterr().err == f"mbrforge: i/o error: {missing}: no such directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"

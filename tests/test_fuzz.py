@@ -35,9 +35,11 @@ from mbrforge.errors import (
     EXIT_OK,
     EXIT_USAGE,
     DataError,
+    MbrforgeError,
     ProtocolError,
 )
 from mbrforge.promptgen import read_chat_documents
+from mbrforge.textio import check_outputs
 
 FUZZ = settings(max_examples=100, deadline=None)
 
@@ -297,25 +299,34 @@ def _workspace() -> Iterator[Path]:
 def test_cli_exit_contract(run):
     """Every run exits with a documented code and changes only what its outputs name.
 
-    A failed run names its error in one stderr line and changes nothing.  A
-    clean run leaves each output a regular file at the path as given, so an
-    output that ends in "/" or "/." must fail.
+    A failed run names its error in one stderr line and changes nothing; a
+    run that argparse accepts and whose outputs ``check_outputs`` refuses
+    names that error, whatever its inputs.  A clean run leaves each output
+    a regular file at the path as given, so an output that ends in "/" or
+    "/." must fail.
     """
     argv, written, removed = run
     with _workspace() as root:
         before = _snapshot(root)
+        try:
+            check_outputs(written, removed)
+            bad_output = None
+        except (MbrforgeError, OSError) as exc:
+            bad_output = f"mbrforge: {getattr(exc, 'label', 'i/o error')}: {exc}"
         stderr = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:  # argparse rejected argv
-                code = exc.code
+                code, bad_output = exc.code, None
         err = stderr.getvalue()
         after = _snapshot(root)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_BRIDGE, EXIT_IO), (code, err)
         assert not [p for p in after if re.fullmatch(r"\..*\.tmp", os.path.basename(p))]
         errors = [line for line in err.splitlines() if "error:" in line]
         changed = {p for p in before.keys() | after.keys() if before.get(p) != after.get(p)}
+        if bad_output is not None:
+            assert err.splitlines() == [bad_output], err
         if code != EXIT_OK:
             assert len(errors) == 1, err
             assert not changed, sorted(changed)

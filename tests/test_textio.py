@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import os
 import re
 import stat
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mbrforge import cli
 from mbrforge.errors import AlignmentError, UsageError
 from mbrforge.textio import (
     read_aligned,
@@ -272,3 +274,19 @@ def test_only_textio_resolves_output_paths():
         if calls.search(line)
     }
     assert found and all(site.startswith("textio.py:") for site in found), sorted(found)
+
+
+def test_only_main_checks_outputs_early():
+    # Each command declares its outputs, and cli.main checks them before the
+    # command reads an input; only staged_outputs checks them again, as it writes.
+    src = Path(__file__).parent.parent / "src" / "mbrforge"
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "textio.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "check_outputs(" in line
+    ]
+    lines, start = inspect.getsourcelines(cli.main)
+    in_main = [f"cli.py:{start + i}" for i, line in enumerate(lines) if "check_outputs(" in line]
+    assert len(in_main) == 1 and found == in_main, found
