@@ -6,7 +6,9 @@ request is one line on the child's standard input with the fields
 backslashes inside fields are escaped as ``\\t``, ``\\n``, ``\\\\``.  Any field
 may be empty; a request still holds its two tabs, so only a blank line ends
 a batch.  The child answers on standard output with one decimal number line
-per request, in request order, then a blank line.  All is UTF-8.
+per request, in request order, then a blank line.  All is UTF-8.  A reply
+line longer than MAX_REPLY_LINE (4096) bytes is a protocol error, and an
+error message quotes at most the first 64 bytes of a reply.
 
 One client owns one child process and must not be shared by concurrent
 writers; run one client per worker instead.
@@ -34,6 +36,8 @@ from .errors import (
 )
 
 MAX_BATCH_SIZE = 4096
+MAX_REPLY_LINE = 4096  # bytes; a float's repr takes at most 24
+_QUOTED = 64  # bytes of a reply that an error message quotes
 # poll() takes its timeout as a C int of milliseconds, so a longer wait overflows.
 MAX_TIMEOUT = (2**31 - 1) / 1000
 
@@ -145,13 +149,14 @@ class BridgeClient:
             except (OSError, subprocess.TimeoutExpired):
                 proc.kill()
             try:
-                line = self._read_line(5.0)
+                line = self._read_line(5.0, "scorer reply after the last request")
             except (BridgeCrashError, TimeoutError):  # drained, or held open (a grandchild)
                 return
             finally:
                 self._proc = None
         raise ProtocolError(
-            f"scorer sent an unrequested reply after the last request: {line.rstrip()!r}"
+            "scorer sent an unrequested reply after the last request: "
+            f"{line[:_QUOTED].rstrip()!r}"
         )
 
     def _kill(self) -> None:
@@ -206,36 +211,38 @@ class BridgeClient:
             index = first_index + batch.count("\n", 0, exc.start)
             raise DataError(f"request {index} is not valid UTF-8: {exc.reason}") from None
         for index in range(first_index, first_index + len(requests)):
-            item = self._next_line(_NO_REPLY, index)
+            reply = f"scorer reply for request {index}"
+            item = self._next_line(_NO_REPLY, index, reply)
             try:
                 value = float(item)
             except ValueError:
                 raise ProtocolError(
-                    f"scorer reply for request {index} is not a number: {item.rstrip()!r}"
+                    f"{reply} is not a number: {item[:_QUOTED].rstrip()!r}"
                 ) from None
             if not math.isfinite(value):
-                raise ProtocolError(
-                    f"scorer reply for request {index} is not finite: {item.rstrip()!r}"
-                )
+                raise ProtocolError(f"{reply} is not finite: {item[:_QUOTED].rstrip()!r}")
             sink.append(value)
         last = first_index + len(requests) - 1
-        item = self._next_line(_NO_BATCH_END, last)
+        item = self._next_line(_NO_BATCH_END, last, f"scorer reply after request {last}")
         if item.strip():
             raise ProtocolError(
-                f"scorer sent an unrequested reply after request {last}: {item.rstrip()!r}"
+                f"scorer sent an unrequested reply after request {last}: "
+                f"{item[:_QUOTED].rstrip()!r}"
             )
 
-    def _next_line(self, timeout_message: str, index: int) -> bytes:
+    def _next_line(self, timeout_message: str, index: int, reply: str) -> bytes:
         try:
-            return self._read_line(self.config.timeout)
+            return self._read_line(self.config.timeout, reply)
         except TimeoutError:
             raise BridgeTimeoutError(timeout_message.format(index, self.config.timeout)) from None
 
-    def _read_line(self, timeout: float) -> bytes:
+    def _read_line(self, timeout: float, reply: str) -> bytes:
         """The child's next output line, writing the batch meanwhile; TimeoutError if late."""
         deadline = time.monotonic() + timeout
         stdin, stdout = self._proc.stdin, self._proc.stdout.fileno()
-        while (end := self._buffer.find(b"\n")) < 0:
+        while (end := self._buffer.find(b"\n", 0, MAX_REPLY_LINE + 1)) < 0:
+            if len(self._buffer) > MAX_REPLY_LINE:
+                raise ProtocolError(f"{reply} is longer than {MAX_REPLY_LINE} bytes")
             poll = select.poll()
             poll.register(stdout, select.POLLIN)
             if self._unsent and not stdin.closed:  # close() drops what is unsent

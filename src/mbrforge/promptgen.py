@@ -171,17 +171,18 @@ def render_fewshot(
 def render_fewshot_turn(doc: ChatDocument, index: int, k: int) -> RenderedPrompt:
     """Few-shot layout for one turn; its reference, if any, is the completion.
 
-    The demonstration pool is the document's other turns in the query's
-    direction that carry a reference, in document order.
+    The demonstrations are the first k turns in the query's direction that carry
+    a reference, in document order, without the query; the scan stops at k.
     """
     query = _check_index(doc, index)
     langs = (query.src_lang, query.tgt_lang)
-    pool = [
+    pool = (
         (turn.source, turn.reference)
         for pos, turn in enumerate(doc.turns)
         if pos != index and turn.reference is not None and (turn.src_lang, turn.tgt_lang) == langs
-    ]
-    prompt = render_fewshot(pool, query.source, langs, k=k)
+    )
+    demos = [demo for _, demo in zip(range(k), pool)]  # islice rejects k < 0 and k > maxsize
+    prompt = render_fewshot(demos, query.source, langs, k=k)
     return RenderedPrompt(prompt.text, query.reference or "")
 
 

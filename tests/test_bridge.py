@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from mbrforge.bridge import (
     MAX_BATCH_SIZE,
+    MAX_REPLY_LINE,
     MAX_TIMEOUT,
     BridgeClient,
     BridgeConfig,
@@ -543,3 +544,55 @@ class TestRepliesAsBytes:
             with pytest.raises(DataError, match="request 1 is not valid UTF-8"):
                 client.score([ScoreRequest("s", "m", "r"), ScoreRequest("s", "\ud800", "r")])
             assert client.score([ScoreRequest("s", "m", "r")]) == [0.5]
+
+
+def reply_config(head: str, digits: int, tail: str = "") -> BridgeConfig:
+    """A scorer that reads one request and its batch end, then writes ``head``,
+    ``digits`` ones and ``tail``, and exits."""
+    write = f"sys.stdout.write({head!r} + '1' * {digits} + {tail!r})"
+    code = f"import sys; sys.stdin.readline(); sys.stdin.readline(); {write}"
+    return BridgeConfig(command=(sys.executable, "-c", code), timeout=30.0)
+
+
+class TestReplyLineLimit:
+    """A reply line is at most MAX_REPLY_LINE bytes, and a message quotes at most 64 of them."""
+
+    def test_megabyte_without_newline_is_protocol_error(self):
+        # The scorer blocks on the full pipe; the client stops reading at the limit.
+        with BridgeClient(reply_config("", 2**20)) as client:
+            proc = client._proc
+            with pytest.raises(ProtocolError) as raised:
+                client.score([ScoreRequest("s", "m", "r")])
+            assert str(raised.value) == "scorer reply for request 0 is longer than 4096 bytes"
+            assert len(str(raised.value)) < 200
+            assert proc.returncode is not None  # killed and reaped
+
+    @pytest.mark.parametrize(
+        "length, message",
+        [
+            # 4096 digits parse as a float too large to be finite.
+            (MAX_REPLY_LINE, "scorer reply for request 0 is not finite: b'" + "1" * 64 + "'"),
+            (MAX_REPLY_LINE + 1, "scorer reply for request 0 is longer than 4096 bytes"),
+        ],
+    )
+    def test_limit_is_exact(self, length, message):
+        with BridgeClient(reply_config("", length, "\n\n")) as client:
+            with pytest.raises(ProtocolError) as raised:
+                client.score([ScoreRequest("s", "m", "r")])
+        assert str(raised.value) == message
+
+    def test_long_surplus_reply_is_quoted_in_part(self):
+        with BridgeClient(reply_config("1.0\n", 1000, "\n")) as client:
+            with pytest.raises(ProtocolError) as raised:
+                client.score([ScoreRequest("s", "m", "r")])
+        assert str(raised.value) == (
+            "scorer sent an unrequested reply after request 0: b'" + "1" * 64 + "'"
+        )
+
+    def test_close_drains_through_the_limit(self):
+        client = BridgeClient(reply_config("1.0\n\n", MAX_REPLY_LINE + 1))
+        assert client.score([ScoreRequest("s", "m", "r")]) == [1.0]
+        with pytest.raises(
+            ProtocolError, match="^scorer reply after the last request is longer than 4096 bytes$"
+        ):
+            client.close()

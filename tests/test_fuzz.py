@@ -252,7 +252,8 @@ def cli_runs(draw) -> tuple[list[str], list[str], list[str]]:
     else:
         argv += ["--mode", draw(st.sampled_from(["stream", "context", "fewshot"])),
                  "--doc", draw(CHAT_IN), "--out", out]
-        argv += _flags(draw, ("--k", COUNTS), ("--before", COUNTS), ("--after", COUNTS),
+        counts = [*COUNTS, str(2**64)]  # past sys.maxsize, where itertools.islice raises
+        argv += _flags(draw, ("--k", counts), ("--before", counts), ("--after", counts),
                        ("--exclude-query-context", None), ("--format", ["jsonl", "text"]),
                        ("--separator", ARGV_TEXT))
     return argv, [out], []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -235,6 +236,18 @@ class TestFewshotTurn:
         )
         with pytest.raises(DataError, match="need at least k=4 demonstrations, got 3"):
             render_fewshot_turn(self.DOC, 3, k=4)
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (-1, "k must be >= 0, got -1"),
+            (sys.maxsize + 1, f"need at least k={sys.maxsize + 1} demonstrations, got 2"),
+        ],
+    )
+    def test_k_out_of_islice_range(self, k, message):
+        """A bound itertools.islice rejects still gets render_fewshot's own message."""
+        with pytest.raises(DataError, match=f"^{message}$"):
+            render_fewshot_turn(self.DOC, 0, k=k)
 
     @pytest.mark.parametrize("index", [-1, 5])
     def test_bad_index(self, index):
