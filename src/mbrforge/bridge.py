@@ -10,8 +10,8 @@ per request, in request order, then a blank line.  All is UTF-8.  A reply
 line longer than MAX_REPLY_LINE (4096) bytes is a protocol error, and an
 error message quotes at most the first 64 bytes of a reply.
 
-One client owns one child process and must not be shared by concurrent
-writers; run one client per worker instead.
+One client owns one child process and serves one caller at a time; run
+one client per worker instead.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ class BridgeClient:
                             f"requests unanswered (batch starting at {start})"
                         ) from None
                     restarts_left -= 1
-                    sys.stderr.write(  # one write, so lines from worker threads never interleave
+                    sys.stderr.write(  # one write, so lines from workers never interleave
                         f"WARNING mbrforge: scorer crashed ({exc}); restarting it to replay "
                         f"{end - len(scores)} of {end - start} requests "
                         f"(batch starting at {start})\n"

@@ -190,9 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail immediately if the scorer process crashes",
     )
     _add_workers_flag(
-        p,
-        "external-scorer processes for --utility external; native utilities "
-        "score in one thread",
+        p, "processes that score contiguous runs of segments, for every utility; 1 scores inline"
     )
 
     p = _add_command(

@@ -10,7 +10,6 @@ BLEU/chrF metrics or an external scorer reached through the bridge.
 from __future__ import annotations
 
 import math
-from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
@@ -211,6 +210,33 @@ def utility_matrix(
     )
 
 
+_job: list = []  # a pool worker's cset, spec, factory and stop event, from its initializer
+
+
+def _adopt(*job) -> None:
+    """Pool initializer: take the job; an interrupt is left to the caller, which stops the runs."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _job.extend(job)
+
+
+def _score_run(segments: range, job: Sequence = ()) -> list[UtilityMatrix]:
+    """Score a run of segments with one scorer; stop early once ``stop`` is set."""
+    cset, spec, factory, stop = job or _job
+    scorer = factory()
+    try:
+        matrices = []
+        for index in segments:
+            if stop is not None and stop.is_set():
+                break
+            with located(f"segment {index}"):
+                matrices.append(utility_matrix(cset, index, spec, scorer))
+        return matrices
+    finally:
+        close_scorer(scorer)  # in the run, so a close-time error fails it
+
+
 def segment_matrices(
     cset: CandidateSet,
     spec: UtilitySpec,
@@ -219,38 +245,34 @@ def segment_matrices(
 ) -> list[UtilityMatrix]:
     """Utility matrices for every segment, in segment order.
 
-    Every scorer comes from ``scorer_factory`` (default ``make_scorer(spec)``)
-    and is closed here.  Native utilities score every segment in the calling
-    thread with one scorer, whatever ``workers`` says: they are pure Python,
-    so threads would only contend for the interpreter lock.  An external utility runs
-    ``min(workers, num_segments)`` threads, each holding one scorer (and
-    hence one bridge process) while it scores a segment.  Results come back
-    in segment order, so the output never depends on the schedule, and a
-    failed segment cancels the segments that have not started.
+    The segments are split into ``min(workers, num_segments)`` contiguous
+    runs, whatever the utility, and each run scores with one scorer from
+    ``scorer_factory`` (default ``make_scorer(spec)``), which it closes.
+    One run is scored in the calling process; more go to as many processes
+    forked from it (so no other thread may run in it), which inherit their
+    job, so only the runs and matrices are pickled.  Results come back in
+    segment order, so the output never depends on the schedule; once a run
+    fails, or the caller is interrupted, the others stop before their next
+    segment.
     """
     if workers < 1:
         raise DataError(f"workers must be at least 1, got {workers}")
     factory = scorer_factory if scorer_factory is not None else (lambda: make_scorer(spec))
-    threads = min(workers if spec.kind == "external" else 1, cset.num_segments)
-    with ExitStack() as scorers:  # closes every scorer, even when one close raises
-        idle: list[BatchScorer] = []  # at most `threads` segments run at once
-        for _ in range(threads):
-            idle.append(factory())
-            scorers.callback(close_scorer, idle[-1])
-
-        def run(index: int) -> UtilityMatrix:
-            scorer = idle.pop()
-            try:
-                with located(f"segment {index}"):
-                    return utility_matrix(cset, index, spec, scorer)
-            finally:
-                idle.append(scorer)
-
-        if threads <= 1:
-            return list(map(run, range(cset.num_segments)))
-        from concurrent import futures
-        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(cset.num_segments)))
+    m = cset.num_segments
+    runs = min(workers, m)
+    tasks = [range(m * k // runs, m * (k + 1) // runs) for k in range(runs)]
+    if runs <= 1:
+        return _score_run(tasks[0], (cset, spec, factory, None)) if tasks else []
+    import multiprocessing  # only a fan-out loads it
+    context = multiprocessing.get_context("fork")
+    stop = context.Event()
+    pool = context.Pool(runs, _adopt, (cset, spec, factory, stop))
+    try:
+        return [matrix for run in pool.imap(_score_run, tasks) for matrix in run]
+    finally:  # after a failure or an interrupt the other runs stop before their next segment
+        stop.set()
+        pool.close()  # not terminate(): each worker closes its scorer first
+        pool.join()
 
 
 def selection_from_matrices(

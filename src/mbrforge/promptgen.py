@@ -270,8 +270,9 @@ def read_chat_documents(path: str | Path) -> list[ChatDocument]:
     turn_index within a document; documents keep first-appearance order.
     """
     grouped: dict[str, dict[int, ChatTurn]] = {}
-    raw = read_text(path)
-    for lineno, line in enumerate(raw.split("\n"), start=1):
+    # Each LF ends a line, the added one the last; "." matches all but LF.
+    for lineno, match in enumerate(re.finditer("(.*)\n", read_text(path) + "\n"), start=1):
+        line = match[1]
         if not line.strip():
             continue
         with located(f"{path}:{lineno}"):

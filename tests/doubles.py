@@ -1,7 +1,8 @@
 """Scorer child processes for bridge tests, selected by argv[1].
 
-Run as ``python3 doubles.py MODE [ARGS...]``.  Well-behaved modes serve
-the line protocol via run_scorer_loop; the rest misbehave on purpose.
+Run as ``python3 doubles.py [record-pid FILE] MODE [ARGS...]``.  Well-behaved
+modes serve the line protocol via run_scorer_loop; the rest misbehave on
+purpose.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ from mbrforge.metrics import sentence_chrf
 
 
 def main() -> None:
+    if sys.argv[1] == "record-pid":
+        # Append "pid parent-pid" to the file named next, then run the mode after it.
+        with open(sys.argv[2], "a", encoding="ascii") as pids:
+            pids.write(f"{os.getpid()} {os.getppid()}\n")
+        del sys.argv[1:3]
     mode = sys.argv[1]
 
     if mode == "constant":

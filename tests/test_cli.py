@@ -6,11 +6,14 @@ import argparse
 import json
 import math
 import os
+import re
 import shlex
 import shutil
+import signal
 import stat
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -132,6 +135,124 @@ class TestMbrCommand:
         bytes1 = out1.read_bytes()
         _rc, out3 = run_mbr(tmp_path, src, [a, b, c], "--workers", "3")
         assert out3.read_bytes() == bytes1
+
+    @pytest.mark.parametrize(
+        "utility",
+        [["chrf"], ["chrf", "--exclude-self"], ["bleu"], ["bleu", "--exclude-self"],
+         ["external", "--external-cmd", f"{sys.executable} {DOUBLES} chrf"]],
+        ids=["chrf", "chrf-exclude-self", "bleu", "bleu-exclude-self", "external"],
+    )
+    def test_workers_do_not_change_any_output(self, tmp_path, utility):
+        # Five segments, four of them with repeated candidates, in 1, 2 and 3 runs.
+        src = write_lines(tmp_path / "src.txt", [f"s{i}" for i in range(5)])
+        cands = [write_lines(tmp_path / f"c{k}.txt", lines) for k, lines in enumerate([
+            ["the cat sat", "x y z", "hello world", "", "same"],
+            ["the cat sat", "x y", "hello, world!", "a", "same"],
+            ["a cat sat", "x y z", "hello world", "", "same"],
+            ["the dog", "x y z", "world", "a b", "same"],
+        ])]
+        outputs = set()
+        for workers in ("1", "2", "3"):
+            matrix = tmp_path / f"matrix{workers}.tsv"
+            rc, out = run_mbr(tmp_path, src, cands, "--utility", *utility,
+                              "--matrix-out", str(matrix), "--workers", workers)
+            assert rc == EXIT_OK
+            outputs.add((out.read_bytes(), matrix.read_bytes()))
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize(
+        "double, flags",
+        [(["exit-now"], ["--no-bridge-restart"]),
+         (["slow", "1.0"], ["--bridge-timeout", "0.2"]),
+         (["late-extra-reply"], ["--bridge-timeout", "30"])],
+        ids=["crash", "timeout", "surplus-at-close"],
+    )
+    def test_scorer_failure_reads_the_same_at_two_workers(self, tmp_path, double, flags):
+        # One segment per worker, so the surplus reply shows only as its
+        # scorer closes.  Run in dev mode with resource warnings as errors;
+        # after the run no scorer and no pool worker may be left.
+        code = textwrap.dedent("""\
+            import json, os, sys
+            from mbrforge import cli
+
+            def alive(pid):
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    return False
+                return True
+
+            rc = cli.main(sys.argv[2:])
+            with open(sys.argv[1], encoding="ascii") as lines:
+                pids = [[int(pid) for pid in line.split()] for line in lines]
+            left = [pid for pair in pids for pid in pair if pid != os.getpid() and alive(pid)]
+            print(json.dumps({"self": os.getpid(), "pids": pids, "left": left}))
+            sys.exit(rc)
+        """)
+        errors = {}
+        for workers in (1, 2):
+            run = tmp_path / f"w{workers}"
+            run.mkdir()
+            pid_file = run / "pids"
+            scorer = [sys.executable, DOUBLES, "record-pid", str(pid_file), *double]
+            argv = ["mbr", "--src", str(write_lines(run / "src.txt", ["s1", "s2"][:workers])),
+                    "--out", str(run / "out.txt"), "--utility", "external",
+                    "--external-cmd", shlex.join(scorer), "--workers", str(workers), *flags]
+            for name, lines in (("a", ["the cat", "x"]), ("b", ["the cat", "y y"])):
+                argv += ["--cand", str(write_lines(run / f"{name}.txt", lines[:workers]))]
+            result = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code,
+                 str(pid_file), *argv],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert result.returncode == 4, result.stderr
+            report = json.loads(result.stdout)
+            assert report["pids"] and report["left"] == []
+            parents = {parent for _pid, parent in report["pids"]}
+            if workers == 1:
+                assert parents == {report["self"]}
+            else:  # each scorer was started by a pool worker
+                assert report["self"] not in parents
+            assert not (run / "out.txt").exists()
+            # A crash is found as a closed output or, rarely, as a broken pipe.
+            errors[workers] = re.sub(r"crashed \([^)]*\)", "crashed (...)", result.stderr)
+        assert errors[1] == errors[2]
+        assert errors[1].startswith("mbrforge: bridge error: ")
+        assert errors[1].count("\n") == 1
+
+    def test_interrupt_at_two_workers_stops_the_runs(self, tmp_path):
+        # Ctrl-C reaches the whole process group.  The pool workers leave it
+        # to mbr, which stops their runs and waits for them to close their
+        # scorers: the run ends, writes nothing and leaves no process behind.
+        # Each of the 4 requests of a segment takes its source's 0.2 seconds.
+        pid_file, out = tmp_path / "pids", tmp_path / "out.txt"
+        scorer = [sys.executable, DOUBLES, "record-pid", str(pid_file), "delayed-echo"]
+        argv = [sys.executable, "-m", "mbrforge.cli", "mbr", "--out", str(out),
+                "--src", str(write_lines(tmp_path / "src.txt", ["0.2", "0.2"])),
+                "--utility", "external", "--external-cmd", shlex.join(scorer), "--workers", "2"]
+        for name, lines in (("a", ["1", "3"]), ("b", ["2", "4"])):
+            argv += ["--cand", str(write_lines(tmp_path / f"{name}.txt", lines))]
+        proc = subprocess.Popen(argv, start_new_session=True, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and (
+                not pid_file.exists() or pid_file.read_text().count("\n") < 2
+            ):
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=30) != 0
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert not out.exists()
+        pids = [int(pid) for line in pid_file.read_text().splitlines() for pid in line.split()]
+        assert len(pids) == 4  # two scorers and the two pool workers that started them
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_single_candidate_file_is_data_error(self, tmp_path, cand_files, capsys):
         src, a, _b, _c = cand_files
@@ -1485,21 +1606,31 @@ class TestEntryPoints:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "0 []"
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_external_mbr_loads_logging_only_for_a_thread_pool(
-        self, tmp_path, cand_files, workers
+    @pytest.mark.parametrize(
+        "utility, workers, segments",
+        [(utility, workers, segments) for utility in ("chrf", "external")
+         for workers, segments in (("1", 2), ("2", 1), ("2", 2))],
+    )
+    def test_mbr_loads_multiprocessing_only_to_fan_out(
+        self, tmp_path, utility, workers, segments
     ):
-        # concurrent.futures imports logging; only a pool of scorer threads may load it.
-        src, a, b, c = cand_files
+        # No run loads logging, concurrent.futures or dataclasses; only a
+        # fan-out over two or more runs loads multiprocessing.
+        src = write_lines(tmp_path / "src.txt", ["s1", "s2"][:segments])
+        cands = [write_lines(tmp_path / f"{name}.txt", lines[:segments]) for name, lines in
+                 (("a", ["the cat", "x"]), ("b", ["the cat", "y y"]), ("c", ["a dog", "y y"]))]
         code = (
             "import sys; from mbrforge import cli; rc = cli.main(sys.argv[1:]); "
-            "print(rc, sorted({'concurrent.futures', 'dataclasses', 'logging'}"
-            " & sys.modules.keys()))"
+            "print(rc, sorted({'concurrent.futures', 'dataclasses', 'logging', "
+            "'multiprocessing'} & sys.modules.keys()))"
         )
-        scorer = shlex.join([sys.executable, str(SCRIPTS / "chrf_scorer.py")])
-        argv = ["mbr", "--src", str(src), "--cand", str(a), "--cand", str(b),
-                "--cand", str(c), "--out", str(tmp_path / "out.txt"), "--utility", "external",
-                "--external-cmd", scorer, "--workers", workers]
+        argv = ["mbr", "--src", str(src), "--out", str(tmp_path / "out.txt"),
+                "--utility", utility, "--workers", workers]
+        for cand in cands:
+            argv += ["--cand", str(cand)]
+        if utility == "external":
+            scorer = shlex.join([sys.executable, str(SCRIPTS / "chrf_scorer.py")])
+            argv += ["--external-cmd", scorer]
         result = subprocess.run(
             [sys.executable, "-c", code, *argv],
             capture_output=True,
@@ -1508,12 +1639,20 @@ class TestEntryPoints:
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert result.returncode == 0, result.stderr
-        rc, loaded = result.stdout.split(" ", 1)
-        assert rc == "0"
-        assert "dataclasses" not in loaded
-        if workers == "1":
-            assert loaded.strip() == "[]"
-        assert read_segments(tmp_path / "out.txt") == ["the cat", "y y"]
+        fans_out = workers == "2" and segments == 2
+        assert result.stdout == f"0 {['multiprocessing'] if fans_out else []}\n"
+        assert read_segments(tmp_path / "out.txt") == ["the cat", "y y"][:segments]
+
+    def test_importing_mbr_loads_no_multiprocessing(self):
+        code = "import sys, mbrforge.mbr; print('multiprocessing' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
     def test_no_module_loads_dataclasses_or_logging(self):
         modules = sorted(f"mbrforge.{p.stem}" for p in (SRC / "mbrforge").glob("*.py"))

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import os
 import sys
-import threading
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -63,29 +63,55 @@ def numbered_segments(m: int) -> CandidateSet:
     )
 
 
-def counting_factory(spec: UtilitySpec):
-    """A scorer factory for ``spec`` that counts the scorers it creates and closes.
+def recording_factory(log: Path, inner, delay: float = 0.0):
+    """A scorer factory wrapping ``inner`` whose scorers record what they do in ``log``.
 
-    Each scorer also records the thread that called it.
+    Each event is one ``pid event`` line, ``created``, ``scored SRC`` or
+    ``closed``, written with one ``O_APPEND`` write, so the lines of forked
+    workers never interleave and the caller reads them all.  Each scorer
+    call sleeps ``delay`` seconds first.
     """
-    counts = {"created": 0, "closed": 0, "threads": set()}
+
+    def record(event: str) -> None:
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{os.getpid()} {event}\n".encode())
+        finally:
+            os.close(fd)
 
     def factory():
-        inner = make_scorer(spec)
-        counts["created"] += 1
+        scorer = inner()
+        record("created")
+
+        def score(triples):
+            time.sleep(delay)
+            scores = scorer(triples)
+            record(f"scored {triples[0][0]}")
+            return scores
 
         def close():
-            counts["closed"] += 1
-            close_scorer(inner)
+            record("closed")
+            close_scorer(scorer)
 
-        def scorer(triples):
-            counts["threads"].add(threading.get_ident())
-            return inner(triples)
+        score.client = SimpleNamespace(close=close)
+        return score
 
-        scorer.client = SimpleNamespace(close=close)
-        return scorer
+    return factory
 
-    return factory, counts
+
+def events(log: Path) -> list[tuple[int, str]]:
+    """The ``(pid, event)`` pairs in ``log``, in order; none if there is no log."""
+    lines = log.read_text().splitlines() if log.exists() else []
+    return [(int(pid), event) for pid, event in (line.split(" ", 1) for line in lines)]
+
+
+def recorded(log: Path, event: str) -> list[int]:
+    """The pid of each ``event`` in ``log``, in order."""
+    return [pid for pid, logged in events(log) if logged == event]
+
+
+def constant_factory():
+    return lambda triples: [1.0] * len(triples)
 
 
 def exact_match_factory():
@@ -361,29 +387,24 @@ class TestWorkers:
             segment_matrices(cset, UtilitySpec(), scorer_factory=broken_factory)
 
     @pytest.mark.parametrize("kind", ["native-chrf", "external"])
-    def test_every_utility_gets_the_segment_source(self, kind):
+    def test_every_utility_gets_the_segment_source(self, kind, tmp_path):
         cset = numbered_segments(3)
         spec = UtilitySpec(kind=kind, bridge=BridgeConfig(command=("unused",)))
-        sources = set()
-
-        def factory():
-            def score(triples):
-                sources.update(src for src, _mt, _ref in triples)
-                return [1.0] * len(triples)
-
-            return score
-
+        log = tmp_path / "events"
+        factory = recording_factory(log, constant_factory)
         segment_matrices(cset, spec, workers=2, scorer_factory=factory)
-        assert sources == set(cset.sources)
+        scored = {event for _pid, event in events(log) if event.startswith("scored ")}
+        assert scored == {f"scored {src}" for src in cset.sources}
 
     @pytest.mark.parametrize("kind", ["native-chrf", "external"])
     @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_rejected_before_any_scorer(self, kind, workers):
+    def test_workers_below_one_rejected_before_any_scorer(self, kind, workers, tmp_path):
         spec = UtilitySpec(kind=kind, bridge=BridgeConfig(command=("unused",)))
-        factory, counts = counting_factory(UtilitySpec())
+        log = tmp_path / "events"
+        factory = recording_factory(log, constant_factory)
         with pytest.raises(DataError, match=f"workers must be at least 1, got {workers}"):
             segment_matrices(numbered_segments(3), spec, workers=workers, scorer_factory=factory)
-        assert counts["created"] == 0
+        assert not log.exists()
 
     @pytest.mark.parametrize(
         "reply, message",
@@ -401,52 +422,63 @@ class TestWorkers:
         with pytest.raises(DataError, match=f"segment 0: scorer {message}$"):
             segment_matrices(numbered_segments(2), UtilitySpec(), scorer_factory=factory)
 
-    def test_native_scores_inline_with_one_scorer(self):
-        cset = numbered_segments(7)
-        spec = UtilitySpec(kind="native-chrf")
-        factory, counts = counting_factory(spec)
-        matrices = segment_matrices(cset, spec, workers=4, scorer_factory=factory)
-        assert matrices == segment_matrices(cset, spec, workers=1)
-        assert (counts["created"], counts["closed"]) == (1, 1)
-        assert counts["threads"] == {threading.get_ident()}
-
-    def test_external_runs_one_scorer_per_worker(self):
-        cset = numbered_segments(7)
+    @staticmethod
+    def assert_one_scorer_per_run(kind: str, workers: int, segments: int, log: Path) -> None:
+        """``segment_matrices`` makes one scorer per run: in this process for one
+        run, else each in a worker process of its own; each is closed where it
+        was made, and the matrices equal those of one inline run.  Each scorer
+        call sleeps 20 ms, so every worker takes a run before any run ends.
+        """
+        cset = numbered_segments(segments)
         config = BridgeConfig(command=(sys.executable, DOUBLES, "chrf"))
-        spec = UtilitySpec(kind="external", bridge=config)
-        factory, counts = counting_factory(spec)
-        matrices = segment_matrices(cset, spec, workers=4, scorer_factory=factory)
+        spec = UtilitySpec(kind=kind, bridge=config)
+        factory = recording_factory(log, lambda: make_scorer(spec), delay=0.02)
+        matrices = segment_matrices(cset, spec, workers=workers, scorer_factory=factory)
         assert matrices == segment_matrices(cset, spec, workers=1)
-        assert (counts["created"], counts["closed"]) == (4, 4)
+        created = recorded(log, "created")
+        assert sorted(recorded(log, "closed")) == sorted(created)
+        runs = min(workers, segments)
+        if runs == 1:
+            assert created == [os.getpid()]
+        else:
+            assert len(set(created)) == len(created) == runs
+            assert os.getpid() not in created
 
-    def test_external_workers_capped_by_segments(self):
-        cset = numbered_segments(3)
-        config = BridgeConfig(command=(sys.executable, DOUBLES, "chrf"))
-        spec = UtilitySpec(kind="external", bridge=config)
-        factory, counts = counting_factory(spec)
-        segment_matrices(cset, spec, workers=8, scorer_factory=factory)
-        assert counts["created"] <= 3
-        assert counts["closed"] == counts["created"]
+    @pytest.mark.parametrize("kind", ["native-chrf", "external"])
+    def test_one_worker_scores_inline_with_one_scorer(self, kind, tmp_path):
+        self.assert_one_scorer_per_run(kind, 1, 7, tmp_path / "events")
 
-    def test_failure_cancels_segments_not_started(self):
+    def test_native_runs_one_scorer_per_worker(self, tmp_path):
+        self.assert_one_scorer_per_run("native-chrf", 4, 7, tmp_path / "events")
+
+    def test_external_runs_one_scorer_per_worker(self, tmp_path):
+        self.assert_one_scorer_per_run("external", 4, 7, tmp_path / "events")
+
+    def test_external_workers_capped_by_segments(self, tmp_path):
+        self.assert_one_scorer_per_run("external", 8, 3, tmp_path / "events")
+
+    def test_failure_cancels_segments_not_started(self, tmp_path):
+        # Two runs of ten segments; the first fails at once on s0.
         cset = numbered_segments(20)
         spec = UtilitySpec(kind="external", bridge=BridgeConfig(command=("unused",)))
-        scored = []
 
-        def factory():
+        def inner():
             def score(triples):
-                src = triples[0][0]
-                if src == "s0":
+                if triples[0][0] == "s0":
                     raise DataError("scorer fell over")
-                time.sleep(0.05)
-                scored.append(src)
                 return [1.0] * len(triples)
 
             return score
 
+        log = tmp_path / "events"
+        factory = recording_factory(log, inner, delay=0.05)
         with pytest.raises(DataError, match="segment 0"):
             segment_matrices(cset, spec, workers=2, scorer_factory=factory)
-        assert len(scored) < cset.num_segments // 2
+        created = recorded(log, "created")
+        assert len(created) == 2 and os.getpid() not in created
+        assert sorted(recorded(log, "closed")) == sorted(created)
+        scored = [event for _pid, event in events(log) if event.startswith("scored ")]
+        assert len(scored) < cset.num_segments // 2  # the second run stopped early
 
 
 class TestExternalUtility:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -556,3 +557,42 @@ class TestJsonlReader:
         write_doc_jsonl(doc, path)
         path.write_text("\n" + path.read_text() + "\n\n")
         assert read_chat_documents(path) == [doc]
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [(b"\n\n" + record_line().encode() + b"\n\n{broken",
+          ":5: invalid JSON: Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1)"),
+         (record_line().encode() + b"\n\n" + record_line(mt="cafe").encode()[:-3] + b'\xe9"}',
+          ": not valid UTF-8 at byte 254")],
+        ids=["json-line", "utf8-offset"],
+    )
+    def test_error_names_the_line_or_byte(self, tmp_path, data, message):
+        # Blank lines count, and a last line without LF is read.
+        path = tmp_path / "chat.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(DataError) as exc_info:
+            read_chat_documents(path)
+        assert str(exc_info.value) == f"{path}{message}"
+
+
+class TestChatMemory:
+    """Reading a chat file holds its text once, not also a list of its lines."""
+
+    def test_peak_above_the_documents_under_one_and_a_half_files(self, tmp_path):
+        path = tmp_path / "chat.jsonl"
+        path.write_text("".join(
+            record_line(doc_id=f"d{d}", turn_index=t, source=f"turn {t} of document {d}",
+                        mt=f"Zug {t} von Dokument {d}", reference=f"Runde {t} im Dokument {d}")
+            + "\n"
+            for d in range(20)
+            for t in range(250)
+        ))
+        tracemalloc.start()
+        try:
+            documents = read_chat_documents(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(documents) == 20
+        assert peak - retained < 1.5 * path.stat().st_size
