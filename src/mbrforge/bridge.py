@@ -149,8 +149,8 @@ class BridgeClient:
             except (OSError, subprocess.TimeoutExpired):
                 proc.kill()
             try:
-                line = self._read_line(5.0, "scorer reply after the last request")
-            except (BridgeCrashError, TimeoutError):  # drained, or held open (a grandchild)
+                line = self._read_line("scorer reply after the last request", 5.0)
+            except (BridgeCrashError, BridgeTimeoutError):  # drained, or held open (a grandchild)
                 return
             finally:
                 self._proc = None
@@ -180,7 +180,7 @@ class BridgeClient:
                 if self._proc is None:
                     self._spawn()
                 try:
-                    self._send_and_collect(requests[len(scores) : end], len(scores), scores)
+                    self._send_and_collect(requests[len(scores) : end], scores)
                 except BridgeError as exc:
                     self._kill()
                     if not isinstance(exc, BridgeCrashError):
@@ -198,21 +198,17 @@ class BridgeClient:
                     )
         return scores
 
-    def _send_and_collect(
-        self,
-        requests: Sequence[ScoreRequest],
-        first_index: int,
-        sink: list[float],
-    ) -> None:
+    def _send_and_collect(self, requests: Sequence[ScoreRequest], sink: list[float]) -> None:
         batch = "".join(req.encode() + "\n" for req in requests) + "\n"
         try:
             self._unsent = memoryview(batch.encode("utf-8"))
         except UnicodeEncodeError as exc:  # an escaped request holds no raw newline
-            index = first_index + batch.count("\n", 0, exc.start)
+            index = len(sink) + batch.count("\n", 0, exc.start)
             raise DataError(f"request {index} is not valid UTF-8: {exc.reason}") from None
-        for index in range(first_index, first_index + len(requests)):
+        timeout = self.config.timeout
+        for index in range(len(sink), len(sink) + len(requests)):  # after the earlier replies
             reply = f"scorer reply for request {index}"
-            item = self._next_line(_NO_REPLY, index, reply)
+            item = self._read_line(reply, timeout, _NO_REPLY, index)
             try:
                 value = float(item)
             except ValueError:
@@ -222,22 +218,16 @@ class BridgeClient:
             if not math.isfinite(value):
                 raise ProtocolError(f"{reply} is not finite: {item[:_QUOTED].rstrip()!r}")
             sink.append(value)
-        last = first_index + len(requests) - 1
-        item = self._next_line(_NO_BATCH_END, last, f"scorer reply after request {last}")
+        last = len(sink) - 1
+        item = self._read_line(f"scorer reply after request {last}", timeout, _NO_BATCH_END, last)
         if item.strip():
             raise ProtocolError(
                 f"scorer sent an unrequested reply after request {last}: "
                 f"{item[:_QUOTED].rstrip()!r}"
             )
 
-    def _next_line(self, timeout_message: str, index: int, reply: str) -> bytes:
-        try:
-            return self._read_line(self.config.timeout, reply)
-        except TimeoutError:
-            raise BridgeTimeoutError(timeout_message.format(index, self.config.timeout)) from None
-
-    def _read_line(self, timeout: float, reply: str) -> bytes:
-        """The child's next output line, writing the batch meanwhile; TimeoutError if late."""
+    def _read_line(self, reply: str, timeout: float, late: str = "", index: int = 0) -> bytes:
+        """The child's next output line, writing the batch meanwhile; when late, raise ``late``."""
         deadline = time.monotonic() + timeout
         stdin, stdout = self._proc.stdin, self._proc.stdout.fileno()
         while (end := self._buffer.find(b"\n", 0, MAX_REPLY_LINE + 1)) < 0:
@@ -249,7 +239,7 @@ class BridgeClient:
                 poll.register(stdin, select.POLLOUT)
             events = poll.poll(max(deadline - time.monotonic(), 0.0) * 1000)
             if not events:
-                raise TimeoutError
+                raise BridgeTimeoutError(late.format(index, timeout))
             for fd, _ in events:
                 if fd == stdout:
                     chunk = os.read(stdout, 1 << 16)

@@ -6,7 +6,7 @@ thing, and writes files atomically; a nonzero exit never leaves a
 truncated output behind.
 
 Exit codes: 0 ok, 2 usage error, 3 alignment/data error, 4 bridge error,
-5 I/O error.
+5 I/O error, 128 + the signal's number after SIGINT or SIGTERM.
 """
 
 from __future__ import annotations
@@ -498,9 +498,20 @@ def _flush_stdout() -> None:
         raise
 
 
+def _terminate(signum: int, _frame) -> None:
+    """SIGTERM unwinds as SIGINT does, so temp files are deleted and scorers closed."""
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    import signal  # here, not at module level, so importing cli costs no more
+
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        previous = signal.signal(signal.SIGTERM, _terminate)
+    except ValueError:  # only the main thread may set a handler, and only it gets signals
+        previous = None
     try:
         check_outputs(*args.outputs(args))  # a bad output fails before any input is read
         args.func(args)
@@ -512,6 +523,13 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"mbrforge: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt as exc:  # SIGINT, or SIGTERM through _terminate
+        signum = signal.Signals(exc.args[0] if exc.args else signal.SIGINT)
+        print(f"mbrforge: interrupted ({signum.name})", file=sys.stderr)
+        return 128 + signum
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

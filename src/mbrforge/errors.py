@@ -8,7 +8,7 @@ on the first bad field, in place of a ``__new__`` of its own.
 its block and keeps the error's type: a segment, file, record or request line.
 
 Exit codes reported by the CLI: 0 ok, 2 usage error, 3 alignment/data
-error, 4 bridge error, 5 I/O error.
+error, 4 bridge error, 5 I/O error; an interrupt is 128 + its signal.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ BLEU/chrF metrics or an external scorer reached through the bridge.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
@@ -210,20 +211,8 @@ def utility_matrix(
     )
 
 
-_job: list = []  # a pool worker's cset, spec, factory and stop event, from its initializer
-
-
-def _adopt(*job) -> None:
-    """Pool initializer: take the job; an interrupt is left to the caller, which stops the runs."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _job.extend(job)
-
-
-def _score_run(segments: range, job: Sequence = ()) -> list[UtilityMatrix]:
+def _score_run(cset, spec, factory, segments: range, stop) -> list[UtilityMatrix]:
     """Score a run of segments with one scorer; stop early once ``stop`` is set."""
-    cset, spec, factory, stop = job or _job
     scorer = factory()
     try:
         matrices = []
@@ -237,6 +226,23 @@ def _score_run(segments: range, job: Sequence = ()) -> list[UtilityMatrix]:
         close_scorer(scorer)  # in the run, so a close-time error fails it
 
 
+def _forked_run(cset, spec, factory, segments: range, stop, pipes: list, k: int) -> None:
+    """Run ``k`` in a forked process: send its matrices, or its error, on its pipe."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is left to the caller
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    send = pipes[k][1]
+    for end in (end for pair in pipes for end in pair if end is not send):
+        end.close()  # an end left open here would keep another run's pipe from ending
+    try:
+        result = _score_run(cset, spec, factory, segments, stop)
+    except Exception as exc:
+        result = exc
+    with suppress(BrokenPipeError):  # the caller has stopped reading
+        send.send(result)
+
+
 def segment_matrices(
     cset: CandidateSet,
     spec: UtilitySpec,
@@ -248,12 +254,13 @@ def segment_matrices(
     The segments are split into ``min(workers, num_segments)`` contiguous
     runs, whatever the utility, and each run scores with one scorer from
     ``scorer_factory`` (default ``make_scorer(spec)``), which it closes.
-    One run is scored in the calling process; more go to as many processes
-    forked from it (so no other thread may run in it), which inherit their
-    job, so only the runs and matrices are pickled.  Results come back in
-    segment order, so the output never depends on the schedule; once a run
-    fails, or the caller is interrupted, the others stop before their next
-    segment.
+    One run is scored in the calling process.  More are forked from it (so
+    no other thread may run in it), one process per run, which inherits its
+    job, so only the matrices are pickled; each sends them, or its error,
+    back on a pipe of its own, and the pipes are read in segment order, so
+    the output never depends on the schedule.  A run whose process dies
+    without an answer raises ``ChildProcessError``.  Once a run fails, or
+    the caller is interrupted, the others stop before their next segment.
     """
     if workers < 1:
         raise DataError(f"workers must be at least 1, got {workers}")
@@ -262,17 +269,45 @@ def segment_matrices(
     runs = min(workers, m)
     tasks = [range(m * k // runs, m * (k + 1) // runs) for k in range(runs)]
     if runs <= 1:
-        return _score_run(tasks[0], (cset, spec, factory, None)) if tasks else []
+        return _score_run(cset, spec, factory, tasks[0], None) if tasks else []
     import multiprocessing  # only a fan-out loads it
+    import signal
+
     context = multiprocessing.get_context("fork")
     stop = context.Event()
-    pool = context.Pool(runs, _adopt, (cset, spec, factory, stop))
+    pipes = [context.Pipe(duplex=False) for _ in tasks]
+    processes = []
     try:
-        return [matrix for run in pool.imap(_score_run, tasks) for matrix in run]
+        for k, segments in enumerate(tasks):
+            args = (cset, spec, factory, segments, stop, pipes, k)
+            processes.append(context.Process(target=_forked_run, args=args))
+            processes[-1].start()
+        for _, send in pipes:  # so a pipe ends when its run does, however the run ends
+            send.close()
+        matrices = []
+        for (receive, _), process, segments in zip(pipes, processes, tasks):
+            try:
+                result = receive.recv()
+            except (EOFError, OSError):  # the pipe ended without an answer
+                process.join()
+                code = process.exitcode
+                how = signal.strsignal(-code) if code < 0 else f"exit status {code}"
+                raise ChildProcessError(
+                    f"segments {segments.start}..{segments.stop - 1}: "
+                    f"their process ended without an answer ({how})"
+                ) from None
+            if isinstance(result, Exception):
+                raise result
+            matrices += result
+        return matrices
     finally:  # after a failure or an interrupt the other runs stop before their next segment
         stop.set()
-        pool.close()  # not terminate(): each worker closes its scorer first
-        pool.join()
+        for receive, send in pipes:  # a run still sending then gets a broken pipe
+            receive.close()
+            send.close()
+        for process in processes:  # joined, not terminated: each run closes its scorer first
+            process.join()
+            process.close()
 
 
 def selection_from_matrices(

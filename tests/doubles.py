@@ -8,6 +8,7 @@ purpose.
 from __future__ import annotations
 
 import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -59,6 +60,16 @@ def main() -> None:
             return float(req.mt)
 
         run_scorer_loop(count_then_die)
+    elif mode == "kill-parent":
+        # Echo the mt number; on the request whose src is argv[2], SIGKILL
+        # the process that started this scorer, as an OOM kill would, and exit.
+        def kill_parent(req):
+            if req.src == sys.argv[2]:
+                os.kill(os.getppid(), signal.SIGKILL)
+                os._exit(0)
+            return float(req.mt)
+
+        run_scorer_loop(kill_parent)
     elif mode == "outlive-input":
         # Echo the mt number, then keep running after the end of input.
         run_scorer_loop(lambda req: float(req.mt))
@@ -109,6 +120,17 @@ def main() -> None:
             if line:
                 sys.stdout.write(f"{float(decode_request(line).mt)!r}\n")
                 sys.stdout.flush()
+    elif mode == "script":
+        # Play back a reply script: write each hex-coded chunk of argv[3:] in
+        # turn ("sleep" pauses 0.8 s instead), then exit at once (argv[2] is
+        # "exit") or once the client closes this scorer's input ("eof").
+        for step in sys.argv[3:]:
+            if step == "sleep":
+                time.sleep(0.8)
+            else:
+                os.write(1, bytes.fromhex(step))
+        if sys.argv[2] == "eof":
+            sys.stdin.buffer.read()
     elif mode == "exit-now":
         sys.exit(1)
     elif mode == "close-input-twice":

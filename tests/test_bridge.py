@@ -440,6 +440,25 @@ class TestMisbehaviour:
             with pytest.raises(BridgeTimeoutError, match="request 0"):
                 client.score([ScoreRequest("s", "m", "r")])
 
+    @pytest.mark.parametrize(
+        "mode, sources, message",
+        [
+            # The third request is the first of the second batch and answers late.
+            ("delayed-echo", ["0", "0", "1.0"],
+             "scorer gave no reply for request 2 within 0.3s"),
+            ("no-batch-end", ["0", "0", "0"],
+             "scorer did not end the batch after request 1 within 0.3s; "
+             "a scorer must answer each blank line with a blank line"),
+        ],
+        ids=["no-reply", "no-batch-end"],
+    )
+    def test_timeout_messages_in_full(self, mode, sources, message):
+        requests = [ScoreRequest(src, str(i), "r") for i, src in enumerate(sources)]
+        with BridgeClient(double_config(mode, timeout=0.3, batch_size=2)) as client:
+            with pytest.raises(BridgeTimeoutError) as exc_info:
+                client.score(requests)
+        assert str(exc_info.value) == message
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_reply_is_protocol_error(self, value):
         with BridgeClient(double_config("constant", value)) as client:

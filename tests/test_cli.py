@@ -14,6 +14,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -253,6 +254,67 @@ class TestMbrCommand:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    @staticmethod
+    def two_worker_argv(tmp_path: Path, sources: list[str], *scorer: str) -> list[str]:
+        """``mbr --workers 2`` over an external scorer and two segments, one per run."""
+        argv = [sys.executable, "-m", "mbrforge.cli", "mbr", "--out", str(tmp_path / "out.txt"),
+                "--src", str(write_lines(tmp_path / "src.txt", sources)),
+                "--utility", "external", "--external-cmd", shlex.join(scorer), "--workers", "2"]
+        for name, lines in (("a", ["1", "3"]), ("b", ["2", "4"])):
+            argv += ["--cand", str(write_lines(tmp_path / f"{name}.txt", lines))]
+        return argv
+
+    @pytest.mark.parametrize("run", [0, 1])
+    def test_killed_worker_is_an_error_not_a_hang(self, tmp_path, run):
+        # The scorer of one run SIGKILLs the worker that started it, as an
+        # OOM kill would.  mbr reads that run's pipe as ended without an
+        # answer, stops the other run and leaves no process behind.
+        pid_file = tmp_path / "pids"
+        argv = self.two_worker_argv(tmp_path, ["s0", "s1"], sys.executable, DOUBLES,
+                                    "record-pid", str(pid_file), "kill-parent", f"s{run}")
+        start = time.monotonic()
+        result = subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                                env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert time.monotonic() - start < 20
+        assert result.returncode == 5
+        assert result.stderr == (
+            f"mbrforge: i/o error: segments {run}..{run}: "
+            "their process ended without an answer (Killed)\n"
+        )
+        assert not (tmp_path / "out.txt").exists()
+        pids = [int(pid) for line in pid_file.read_text().splitlines() for pid in line.split()]
+        assert len(pids) == 4  # two scorers and the two workers that started them
+        assert not [pid for pid in pids if alive(pid)]
+
+    def test_sigterm_at_two_workers_ends_in_one_line(self, tmp_path):
+        # A batch scheduler's time limit signals mbr alone.  mbr stops its
+        # runs, waits for them to close their scorers, writes nothing, says
+        # so in one line and exits 128 + 15.  Each of the 4 requests of a
+        # segment takes its source's 0.2 seconds.
+        pid_file = tmp_path / "pids"
+        argv = self.two_worker_argv(tmp_path, ["0.2", "0.2"], sys.executable, DOUBLES,
+                                    "record-pid", str(pid_file), "delayed-echo")
+        proc = subprocess.Popen(argv, start_new_session=True, stderr=subprocess.PIPE, text=True,
+                                env={**os.environ, "PYTHONPATH": str(SRC)})
+        try:
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and (
+                not pid_file.exists() or pid_file.read_text().count("\n") < 2
+            ):
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            _out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == 128 + signal.SIGTERM
+        assert err == "mbrforge: interrupted (SIGTERM)\n"
+        assert not (tmp_path / "out.txt").exists()
+        pids = [int(pid) for line in pid_file.read_text().splitlines() for pid in line.split()]
+        assert len(pids) == 4
+        assert not [pid for pid in pids if alive(pid)]
 
     def test_single_candidate_file_is_data_error(self, tmp_path, cand_files, capsys):
         src, a, _b, _c = cand_files
@@ -644,6 +706,15 @@ class TestCorpusCommands:
         assert (tmp_path / "again.meta").read_bytes() == (tmp_path / "all.meta").read_bytes()
 
 
+def alive(pid: int) -> bool:
+    """Whether process ``pid`` is running: a zombie has ended, reaped or not."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat_file:
+            return stat_file.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 def files_in(directory: Path) -> dict[str, bytes | None]:
     """Every path under ``directory`` with its bytes (None for a directory)."""
     return {
@@ -740,6 +811,97 @@ class TestOutputsTogether:
         argv = ["build-st", "--src", str(mono), "--mt", str(mt), "--out-prefix",
                 str(tmp_path / "c"), "--no-meta"]
         self.assert_nothing_changed(tmp_path, argv, capsys)
+
+
+# Runs mbrforge with argv[2:] and sends the process the signal named in
+# argv[1] as the command commits its outputs: every staged file exists
+# and none has been renamed yet.
+SIGNAL_AT_COMMIT = textwrap.dedent("""\
+    import os, signal, sys
+    from mbrforge import cli
+
+    rename = os.replace
+
+    def replace(src, dst):
+        os.kill(os.getpid(), signal.Signals[sys.argv[1]])
+        rename(src, dst)
+
+    os.replace = replace
+    sys.exit(cli.main(sys.argv[2:]))
+""")
+
+
+def interrupted_argvs(tmp_path: Path) -> dict[str, tuple[list[str], list[str]]]:
+    """Each writing command's argv over small inputs in ``tmp_path``, and its outputs."""
+    src = write_lines(tmp_path / "src.txt", ["s1", "s2"])
+    a = write_lines(tmp_path / "a.txt", ["the cat", "x"])
+    b = write_lines(tmp_path / "b.txt", ["the cat", "y y"])
+    write_lines(tmp_path / "in.src", ["s1", "s2"])
+    write_lines(tmp_path / "in.tgt", ["t1", "t2"])
+    write_doc_jsonl(toy_chat_doc(), tmp_path / "chat.jsonl")
+    avg, lora_merge = checkpoint_argvs(tmp_path)
+    lora_merge[lora_merge.index("--base") + 1] = str(tmp_path / "a.tsf")
+    corpus = [str(tmp_path / f"c{ext}") for ext in (".src", ".tgt", ".meta")]
+    return {
+        "mbr": (["mbr", "--src", str(src), "--cand", str(a), "--cand", str(b), "--out",
+                 str(tmp_path / "out.txt"), "--matrix-out", str(tmp_path / "m.tsv")],
+                [str(tmp_path / "out.txt"), str(tmp_path / "m.tsv")]),
+        "build-st": (["build-st", "--src", str(a), "--mt", str(b),
+                      "--out-prefix", str(tmp_path / "c")], corpus),
+        "build-bt": (["build-bt", "--tgt", str(a), "--bt", str(b),
+                      "--out-prefix", str(tmp_path / "c")], corpus),
+        "merge": (["merge", "--inputs", str(tmp_path / "in"),
+                   "--out-prefix", str(tmp_path / "c")], corpus),
+        "avg": (avg, [avg[-1]]),
+        "lora-merge": (lora_merge, [lora_merge[-1]]),
+        "prompts": (["prompts", "--mode", "stream", "--doc", str(tmp_path / "chat.jsonl"),
+                     "--out", str(tmp_path / "p.jsonl")], [str(tmp_path / "p.jsonl")]),
+    }
+
+
+class TestInterrupts:
+    """SIGTERM unwinds as SIGINT does: no temp file is left, each output is
+    old or absent, and stderr holds one line."""
+
+    @pytest.mark.parametrize(
+        "command", ["mbr", "build-st", "build-bt", "merge", "avg", "lora-merge", "prompts"]
+    )
+    @pytest.mark.parametrize(
+        "signum, old", [(signal.SIGTERM, True), (signal.SIGINT, False)],
+        ids=["SIGTERM-old-outputs", "SIGINT-no-outputs"],
+    )
+    def test_signal_at_commit_changes_no_output(self, tmp_path, command, signum, old):
+        argv, outputs = interrupted_argvs(tmp_path)[command]
+        for output in outputs if old else ():
+            Path(output).write_bytes(b"old\n")
+        before = files_in(tmp_path)
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+             SIGNAL_AT_COMMIT, signum.name, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.stderr == f"mbrforge: interrupted ({signum.name})\n"
+        assert result.returncode == 128 + signum
+        assert files_in(tmp_path) == before
+
+    def test_main_restores_the_sigterm_handler(self, tmp_path, cand_files):
+        previous = signal.getsignal(signal.SIGTERM)
+        src, *cands = cand_files
+        rc, _out = run_mbr(tmp_path, src, cands)
+        assert rc == EXIT_OK
+        assert signal.getsignal(signal.SIGTERM) is previous
+
+    def test_main_runs_off_the_main_thread(self, tmp_path, cand_files):
+        src, *cands = cand_files
+        results = []
+        worker = threading.Thread(target=lambda: results.append(run_mbr(tmp_path, src, cands)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert [rc for rc, _out in results] == [EXIT_OK]
 
 
 class TestMbrChecksOutputsFirst:

@@ -9,8 +9,11 @@ set of hostile values, and checks the exit code, stderr and the files.
 
 from __future__ import annotations
 
+import ast
+import glob
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -26,7 +29,14 @@ from hypothesis import strategies as st
 
 from fixtures import toy_chat_doc, write_doc_jsonl
 from mbrforge import cli
-from mbrforge.bridge import decode_request, run_scorer_loop
+from mbrforge.bridge import (
+    MAX_REPLY_LINE,
+    BridgeClient,
+    BridgeConfig,
+    ScoreRequest,
+    decode_request,
+    run_scorer_loop,
+)
 from mbrforge.checkpoint import TSF_MAGIC, TensorStore
 from mbrforge.errors import (
     EXIT_BRIDGE,
@@ -34,6 +44,7 @@ from mbrforge.errors import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    BridgeError,
     DataError,
     MbrforgeError,
     ProtocolError,
@@ -125,6 +136,109 @@ def test_run_scorer_loop(lines):
         run_scorer_loop(lambda req: 0.5, io.BytesIO(b"\n".join(lines)), io.BytesIO())
     except ProtocolError:
         pass
+
+
+# --- The bridge client against a scripted scorer -------------------------
+
+DOUBLES = str(Path(__file__).parent / "doubles.py")
+
+# Pieces of a reply stream: numbers and pieces of numbers, non-finite
+# values, blank lines, raw bytes (often not UTF-8), lines at and past
+# MAX_REPLY_LINE, and a pause longer than the client's timeout.
+reply_steps = st.one_of(
+    st.integers(-99, 99).map(lambda v: f"{v / 4}\n".encode()),
+    st.text("0123456789.-e \n", max_size=4).map(str.encode),
+    st.sampled_from([b"nan\n", b"inf\n", b"-inf\n", b"\n"]),
+    st.binary(max_size=80),
+    st.sampled_from([b"0" * (MAX_REPLY_LINE - 1), b"1" * (MAX_REPLY_LINE + 1)]),
+    st.just("sleep"),
+)
+
+
+@st.composite
+def reply_scripts(draw) -> tuple[int, int, list, str]:
+    """Requests, batch size, the scorer's steps and how it ends ("eof" or "exit").
+
+    The steps are a correct reply stream with other steps put in at one
+    place, then cut short; the simplest script is the correct stream.
+    """
+    requests, batch_size = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    good: list = []
+    for start in range(0, requests, batch_size):
+        size = min(batch_size, requests - start)
+        good += [f"{v / 8}\n".encode() for v in draw(st.lists(st.integers(-99, 99),
+                                                             min_size=size, max_size=size))]
+        good.append(b"\n")
+    at = draw(st.integers(0, len(good)))
+    steps = good[:at] + draw(st.lists(reply_steps, max_size=3)) + good[at:]
+    steps = steps[: len(steps) - draw(st.integers(0, len(steps)))]
+    return requests, batch_size, steps, draw(st.sampled_from(["eof", "exit"]))
+
+
+def scripted_scores(data: bytes, requests: int, batch_size: int) -> list[float] | None:
+    """The scores a reply stream ``data`` answers by the wire protocol, or None."""
+    lines = data.split(b"\n")
+    lines = iter(lines if lines[-1] else lines[:-1])  # a scorer's exit ends its last line
+    scores: list[float] = []
+    for start in range(0, requests, batch_size):
+        for _ in range(min(batch_size, requests - start)):
+            line = next(lines, None)
+            try:
+                scores.append(float(line))
+            except (TypeError, ValueError):
+                return None
+            if len(line) > MAX_REPLY_LINE or not math.isfinite(scores[-1]):
+                return None
+        if next(lines, b"x").strip():  # a batch ends with a blank line
+            return None
+    return scores
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def live_children() -> set[str]:
+    pids: set[str] = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        with open(path, encoding="ascii") as children:
+            pids.update(children.read().split())
+    return pids
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(reply_scripts())
+def test_bridge_client_against_a_reply_script(script):
+    """``score`` returns the scripted scores in request order or raises a
+    BridgeError; ``close`` leaves no process and no descriptor behind; a
+    message quotes at most 64 bytes of a reply and is short without them."""
+    requests, batch_size, steps, end = script
+    data = b"".join(step for step in steps if step != "sleep")
+    command = [sys.executable, DOUBLES, "script", end,
+               *(step if step == "sleep" else step.hex() for step in steps)]
+    config = BridgeConfig(command=tuple(command), batch_size=batch_size, timeout=0.5,
+                          restart_on_failure=False)
+    fds, children = open_fds(), live_children()
+    errors: list[BridgeError] = []
+    client = BridgeClient(config)
+    try:
+        try:
+            scores = client.score([ScoreRequest("s", str(i), "r") for i in range(requests)])
+        except BridgeError as exc:
+            errors.append(exc)
+        else:
+            assert scores == scripted_scores(data, requests, batch_size)
+    finally:
+        try:
+            client.close()
+        except BridgeError as exc:
+            errors.append(exc)
+    assert open_fds() == fds
+    assert live_children() == children
+    for exc in errors:  # a quoted reply ends its message, after the first ": b"
+        message, quoted, quote = str(exc).partition(": b")
+        assert len(message) < 200, message
+        assert not quoted or len(ast.literal_eval("b" + quote)) <= 64, quote
 
 
 # --- The CLI sweep -------------------------------------------------------

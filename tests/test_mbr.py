@@ -457,6 +457,21 @@ class TestWorkers:
     def test_external_workers_capped_by_segments(self, tmp_path):
         self.assert_one_scorer_per_run("external", 8, 3, tmp_path / "events")
 
+    def test_no_thread_runs_in_the_caller_while_it_forks(self, tmp_path):
+        # Each run's scorer factory counts the threads of the process that
+        # forked it; a thread of an earlier test may end meanwhile, none may start.
+        log = tmp_path / "threads"
+
+        def factory():
+            with open(log, "a", encoding="ascii") as threads:
+                threads.write(f"{len(os.listdir(f'/proc/{os.getppid()}/task'))}\n")
+            return constant_factory()
+
+        before = len(os.listdir("/proc/self/task"))
+        segment_matrices(numbered_segments(2), UtilitySpec(), workers=2, scorer_factory=factory)
+        counts = [int(count) for count in log.read_text().split()]
+        assert len(counts) == 2 and max(counts) <= before
+
     def test_failure_cancels_segments_not_started(self, tmp_path):
         # Two runs of ten segments; the first fails at once on s0.
         cset = numbered_segments(20)
