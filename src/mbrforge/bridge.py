@@ -7,8 +7,8 @@ backslashes inside fields are escaped as ``\\t``, ``\\n``, ``\\\\``.  Any field
 may be empty; a request still holds its two tabs, so only a blank line ends
 a batch.  The child answers on standard output with one decimal number line
 per request, in request order, then a blank line.  All is UTF-8.  A reply
-line longer than MAX_REPLY_LINE (4096) bytes is a protocol error, and an
-error message quotes at most the first 64 bytes of a reply.
+line longer than MAX_REPLY_LINE (4096) bytes is a protocol error.  An error
+message quotes at most 64 bytes of a reply, in at most 67 characters.
 
 One client owns one child process and serves one caller at a time; run
 one client per worker instead.
@@ -37,7 +37,6 @@ from .errors import (
 
 MAX_BATCH_SIZE = 4096
 MAX_REPLY_LINE = 4096  # bytes; a float's repr takes at most 24
-_QUOTED = 64  # bytes of a reply that an error message quotes
 # poll() takes its timeout as a C int of milliseconds, so a longer wait overflows.
 MAX_TIMEOUT = (2**31 - 1) / 1000
 
@@ -53,6 +52,11 @@ _ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n"}
 _UNESCAPES = {escaped: raw for raw, escaped in _ESCAPES.items()}
 _ESCAPE_PATTERN = "|".join(map(re.escape, _UNESCAPES))
 _ESCAPE_TABLE = str.maketrans(_ESCAPES)
+
+
+def _quote(reply: bytes) -> str:
+    """The literal of ``reply``'s longest prefix (at most 64 bytes) that fits 67 characters."""
+    return next(quoted for n in range(64, -1, -1) if len(quoted := repr(reply[:n].rstrip())) <= 67)
 
 
 def escape_field(text: str) -> str:
@@ -155,8 +159,7 @@ class BridgeClient:
             finally:
                 self._proc = None
         raise ProtocolError(
-            "scorer sent an unrequested reply after the last request: "
-            f"{line[:_QUOTED].rstrip()!r}"
+            f"scorer sent an unrequested reply after the last request: {_quote(line)}"
         )
 
     def _kill(self) -> None:
@@ -212,18 +215,15 @@ class BridgeClient:
             try:
                 value = float(item)
             except ValueError:
-                raise ProtocolError(
-                    f"{reply} is not a number: {item[:_QUOTED].rstrip()!r}"
-                ) from None
+                raise ProtocolError(f"{reply} is not a number: {_quote(item)}") from None
             if not math.isfinite(value):
-                raise ProtocolError(f"{reply} is not finite: {item[:_QUOTED].rstrip()!r}")
+                raise ProtocolError(f"{reply} is not finite: {_quote(item)}")
             sink.append(value)
         last = len(sink) - 1
         item = self._read_line(f"scorer reply after request {last}", timeout, _NO_BATCH_END, last)
         if item.strip():
             raise ProtocolError(
-                f"scorer sent an unrequested reply after request {last}: "
-                f"{item[:_QUOTED].rstrip()!r}"
+                f"scorer sent an unrequested reply after request {last}: {_quote(item)}"
             )
 
     def _read_line(self, reply: str, timeout: float, late: str = "", index: int = 0) -> bytes:

@@ -10,6 +10,7 @@ BLEU/chrF metrics or an external scorer reached through the bridge.
 from __future__ import annotations
 
 import math
+import signal
 from contextlib import suppress
 from functools import partial
 from pathlib import Path
@@ -212,13 +213,13 @@ def utility_matrix(
 
 
 def _score_run(cset, spec, factory, segments: range, stop) -> list[UtilityMatrix]:
-    """Score a run of segments with one scorer; stop early once ``stop`` is set."""
-    scorer = factory()
+    """Score a run of segments with one scorer, made at its first; stop once ``stop`` is set."""
+    matrices, scorer = [], None
     try:
-        matrices = []
         for index in segments:
             if stop is not None and stop.is_set():
                 break
+            scorer = factory() if scorer is None else scorer
             with located(f"segment {index}"):
                 matrices.append(utility_matrix(cset, index, spec, scorer))
         return matrices
@@ -226,21 +227,30 @@ def _score_run(cset, spec, factory, segments: range, stop) -> list[UtilityMatrix
         close_scorer(scorer)  # in the run, so a close-time error fails it
 
 
-def _forked_run(cset, spec, factory, segments: range, stop, pipes: list, k: int) -> None:
-    """Run ``k`` in a forked process: send its matrices, or its error, on its pipe."""
-    import signal
-
+def _forked_run(cset, spec, factory, segments: range, stop, send) -> None:
+    """Score a run in a forked process: send its matrices, or its error, on ``send``."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is left to the caller
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    send = pipes[k][1]
-    for end in (end for pair in pipes for end in pair if end is not send):
-        end.close()  # an end left open here would keep another run's pipe from ending
     try:
         result = _score_run(cset, spec, factory, segments, stop)
     except Exception as exc:
         result = exc
     with suppress(BrokenPipeError):  # the caller has stopped reading
         send.send(result)
+
+
+def _answer(receive, process, segments: range):
+    """A forked run's matrices or error; ``ChildProcessError`` if its pipe ends without one."""
+    try:
+        return receive.recv()
+    except (EOFError, OSError):
+        process.join()
+        code = process.exitcode
+        how = signal.strsignal(-code) if code < 0 else f"exit status {code}"
+        raise ChildProcessError(
+            f"segments {segments.start}..{segments.stop - 1}: "
+            f"their process ended without an answer ({how})"
+        ) from None
 
 
 def segment_matrices(
@@ -252,15 +262,19 @@ def segment_matrices(
     """Utility matrices for every segment, in segment order.
 
     The segments are split into ``min(workers, num_segments)`` contiguous
-    runs, whatever the utility, and each run scores with one scorer from
-    ``scorer_factory`` (default ``make_scorer(spec)``), which it closes.
-    One run is scored in the calling process.  More are forked from it (so
-    no other thread may run in it), one process per run, which inherits its
-    job, so only the matrices are pickled; each sends them, or its error,
-    back on a pipe of its own, and the pipes are read in segment order, so
-    the output never depends on the schedule.  A run whose process dies
-    without an answer raises ``ChildProcessError``.  Once a run fails, or
-    the caller is interrupted, the others stop before their next segment.
+    runs, whatever the utility, and each run makes one scorer from
+    ``scorer_factory`` (default ``make_scorer(spec)``) at its first segment
+    and closes it.  One run is scored in the calling process.  More are
+    forked from it (so no other thread may run in it), one process per run,
+    which inherits its job, so only the matrices are pickled; each sends
+    them, or its error, on a pipe made at its fork whose receiving end alone
+    the caller keeps, so the pipe ends when the run does.  Answers are taken
+    in segment order, so the output never depends on the schedule, but a
+    run whose process dies without one raises ``ChildProcessError`` at once.
+    Once a run fails, or the caller is interrupted or cannot fork, the
+    others stop before their next segment.  A later run holds the earlier
+    receiving ends too, so a stopped run still sending gets its broken pipe
+    only once the later runs have stopped and exited.
     """
     if workers < 1:
         raise DataError(f"workers must be at least 1, got {workers}")
@@ -271,41 +285,36 @@ def segment_matrices(
     if runs <= 1:
         return _score_run(cset, spec, factory, tasks[0], None) if tasks else []
     import multiprocessing  # only a fan-out loads it
-    import signal
+    from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")
     stop = context.Event()
-    pipes = [context.Pipe(duplex=False) for _ in tasks]
-    processes = []
+    receives, started = [], []  # the caller's pipe ends; (receive, process, segments) per run
     try:
-        for k, segments in enumerate(tasks):
-            args = (cset, spec, factory, segments, stop, pipes, k)
-            processes.append(context.Process(target=_forked_run, args=args))
-            processes[-1].start()
-        for _, send in pipes:  # so a pipe ends when its run does, however the run ends
-            send.close()
-        matrices = []
-        for (receive, _), process, segments in zip(pipes, processes, tasks):
-            try:
-                result = receive.recv()
-            except (EOFError, OSError):  # the pipe ended without an answer
-                process.join()
-                code = process.exitcode
-                how = signal.strsignal(-code) if code < 0 else f"exit status {code}"
-                raise ChildProcessError(
-                    f"segments {segments.start}..{segments.stop - 1}: "
-                    f"their process ended without an answer ({how})"
-                ) from None
-            if isinstance(result, Exception):
-                raise result
-            matrices += result
+        for segments in tasks:
+            receive, send = context.Pipe(duplex=False)
+            receives.append(receive)
+            args = (cset, spec, factory, segments, stop, send)
+            process = context.Process(target=_forked_run, args=args)
+            with send:  # closed once forked, so the pipe ends when its run does
+                process.start()
+            started.append((receive, process, segments))
+        matrices, answers = [], {}
+        for k, (receive, _, _) in enumerate(started):
+            while k not in answers:  # a later run whose process ends meanwhile is read at once
+                ends = {receive: k} | {run[1].sentinel: j for j, run in enumerate(started)
+                                       if j > k and j not in answers}
+                for j in map(ends.get, wait(list(ends))):
+                    answers[j] = _answer(*started[j])  # so a dead run raises here
+            if isinstance(answers[k], Exception):
+                raise answers[k]
+            matrices += answers.pop(k)
         return matrices
     finally:  # after a failure or an interrupt the other runs stop before their next segment
         stop.set()
-        for receive, send in pipes:  # a run still sending then gets a broken pipe
+        for receive in receives:  # a run still sending gets a broken pipe once later runs exit
             receive.close()
-            send.close()
-        for process in processes:  # joined, not terminated: each run closes its scorer first
+        for _, process, _ in started:  # joined, not terminated: each run closes its scorer first
             process.join()
             process.close()
 

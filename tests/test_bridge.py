@@ -600,6 +600,16 @@ class TestReplyLineLimit:
                 client.score([ScoreRequest("s", "m", "r")])
         assert str(raised.value) == message
 
+    def test_unprintable_reply_is_quoted_in_67_characters(self):
+        # Each byte 0x01 takes four characters, so 16 of them fill the quote.
+        write = "sys.stdout.buffer.write(b'\\x01' * 100 + b'\\n')"
+        code = f"import sys; sys.stdin.readline(); sys.stdin.readline(); {write}"
+        with BridgeClient(BridgeConfig(command=(sys.executable, "-c", code))) as client:
+            with pytest.raises(ProtocolError) as raised:
+                client.score([ScoreRequest("s", "m", "r")])
+        quote = "b'" + "\\x01" * 16 + "'"
+        assert str(raised.value) == f"scorer reply for request 0 is not a number: {quote}"
+
     def test_long_surplus_reply_is_quoted_in_part(self):
         with BridgeClient(reply_config("1.0\n", 1000, "\n")) as client:
             with pytest.raises(ProtocolError) as raised:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import json
 import math
 import os
@@ -16,6 +18,7 @@ import sys
 import textwrap
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +318,38 @@ class TestMbrCommand:
         pids = [int(pid) for line in pid_file.read_text().splitlines() for pid in line.split()]
         assert len(pids) == 4
         assert not [pid for pid in pids if alive(pid)]
+
+    @pytest.mark.parametrize("failing", [1, 2], ids=["first-fork", "second-fork"])
+    def test_a_failed_fork_is_an_io_error_in_one_line(self, tmp_path, monkeypatch, capsys,
+                                                      failing):
+        # The kernel refuses a fork, as it does when out of process ids or
+        # memory: for the first run, or for the second once the first runs.
+        # mbr stops and reaps the run it started and writes nothing.
+        forked, real_fork = [], os.fork
+
+        def fork():
+            if len(forked) + 1 == failing:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            forked.append(real_fork())
+            return forked[-1]
+
+        monkeypatch.setattr(os, "fork", fork)
+        src = write_lines(tmp_path / "src.txt", ["s0", "s1"])
+        cands = [write_lines(tmp_path / f"{name}.txt", ["x y", "y z"]) for name in "ab"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, _out = run_mbr(tmp_path, src, cands, "--workers", "2")
+            gc.collect()
+        assert rc == 5
+        assert capsys.readouterr().err == (
+            f"mbrforge: i/o error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+        )
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a.txt", "b.txt", "src.txt"]
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert len(forked) == failing - 1
+        for pid in forked:
+            with pytest.raises(ChildProcessError):  # reaped already
+                os.waitpid(pid, os.WNOHANG)
 
     def test_single_candidate_file_is_data_error(self, tmp_path, cand_files, capsys):
         src, a, _b, _c = cand_files

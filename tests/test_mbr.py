@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import os
+import signal
 import sys
+import threading
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbrforge.bridge import BridgeConfig
-from mbrforge import metrics
+from mbrforge import mbr, metrics
 from mbrforge.errors import AlignmentError, DataError
 from mbrforge.mbr import (
     CandidateSet,
@@ -494,6 +496,38 @@ class TestWorkers:
         assert sorted(recorded(log, "closed")) == sorted(created)
         scored = [event for _pid, event in events(log) if event.startswith("scored ")]
         assert len(scored) < cset.num_segments // 2  # the second run stopped early
+
+    def test_a_run_that_dies_is_reported_at_once(self):
+        # Two runs of ten segments: the first takes 0.3 s a segment, the
+        # second SIGKILLs its own process on its first segment.  The caller,
+        # waiting for the first run's answer, reports the dead run at once and
+        # the first run stops before its next segment.
+        def factory():
+            def score(triples):
+                if triples[0][0] == "s10":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                time.sleep(0.3)
+                return [1.0] * len(triples)
+
+            return score
+
+        start = time.monotonic()
+        with pytest.raises(ChildProcessError) as raised:
+            segment_matrices(numbered_segments(20), UtilitySpec(), workers=2,
+                             scorer_factory=factory)
+        assert time.monotonic() - start < 1.5
+        assert str(raised.value) == (
+            "segments 10..19: their process ended without an answer (Killed)"
+        )
+
+    def test_a_stopped_run_makes_no_scorer(self):
+        stop = threading.Event()
+        stop.set()
+
+        def factory():
+            raise AssertionError("a stopped run made a scorer")
+
+        assert mbr._score_run(numbered_segments(3), UtilitySpec(), factory, range(3), stop) == []
 
 
 class TestExternalUtility:
