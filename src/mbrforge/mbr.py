@@ -212,12 +212,12 @@ def utility_matrix(
     )
 
 
-def _score_run(cset, spec, factory, segments: range, stop) -> list[UtilityMatrix]:
-    """Score a run of segments with one scorer, made at its first; stop once ``stop`` is set."""
+def _score_run(cset, spec, factory, segments: range, stopped) -> list[UtilityMatrix]:
+    """Score a run of segments with one scorer, made at its first; stop once ``stopped()``."""
     matrices, scorer = [], None
     try:
         for index in segments:
-            if stop is not None and stop.is_set():
+            if stopped is not None and stopped():
                 break
             scorer = factory() if scorer is None else scorer
             with located(f"segment {index}"):
@@ -227,16 +227,18 @@ def _score_run(cset, spec, factory, segments: range, stop) -> list[UtilityMatrix
         close_scorer(scorer)  # in the run, so a close-time error fails it
 
 
-def _forked_run(cset, spec, factory, segments: range, stop, send) -> None:
-    """Score a run in a forked process: send its matrices, or its error, on ``send``."""
+def _forked_run(cset, spec, factory, segments: range, inherited, end) -> None:
+    """Score a run in a forked process: send its matrices, or its error, on ``end``."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is left to the caller
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    for caller_end in inherited:  # so the caller's close alone ends each pipe
+        caller_end.close()
     try:
-        result = _score_run(cset, spec, factory, segments, stop)
+        result = _score_run(cset, spec, factory, segments, end.poll)  # the caller never writes
     except Exception as exc:
         result = exc
     with suppress(BrokenPipeError):  # the caller has stopped reading
-        send.send(result)
+        end.send(result)
 
 
 def _answer(receive, process, segments: range):
@@ -266,54 +268,49 @@ def segment_matrices(
     ``scorer_factory`` (default ``make_scorer(spec)``) at its first segment
     and closes it.  One run is scored in the calling process.  More are
     forked from it (so no other thread may run in it), one process per run,
-    which inherits its job, so only the matrices are pickled; each sends
-    them, or its error, on a pipe made at its fork whose receiving end alone
-    the caller keeps, so the pipe ends when the run does.  Answers are taken
-    in segment order, so the output never depends on the schedule, but a
-    run whose process dies without one raises ``ChildProcessError`` at once.
-    Once a run fails, or the caller is interrupted or cannot fork, the
-    others stop before their next segment.  A later run holds the earlier
-    receiving ends too, so a stopped run still sending gets its broken pipe
-    only once the later runs have stopped and exited.
+    which inherits its job, so only the matrices are pickled.  A duplex pipe
+    made at its fork is a run's only link to the caller: the run closes the
+    caller's ends it inherited, stops before its next segment once the
+    caller's end closes (the caller fails, is interrupted, cannot fork or
+    dies), and sends its matrices, or its error, on its own end.  Answers are
+    taken in segment order, so the output never depends on the schedule, but
+    a run whose process dies without one raises ``ChildProcessError`` at once.
     """
     if workers < 1:
         raise DataError(f"workers must be at least 1, got {workers}")
     factory = scorer_factory if scorer_factory is not None else (lambda: make_scorer(spec))
     m = cset.num_segments
     runs = min(workers, m)
-    tasks = [range(m * k // runs, m * (k + 1) // runs) for k in range(runs)]
     if runs <= 1:
-        return _score_run(cset, spec, factory, tasks[0], None) if tasks else []
+        return _score_run(cset, spec, factory, range(m), None)
     import multiprocessing  # only a fan-out loads it
     from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")
-    stop = context.Event()
-    receives, started = [], []  # the caller's pipe ends; (receive, process, segments) per run
+    ends, started = [], []  # the caller's pipe ends; (end, process, segments) per run
     try:
-        for segments in tasks:
-            receive, send = context.Pipe(duplex=False)
-            receives.append(receive)
-            args = (cset, spec, factory, segments, stop, send)
-            process = context.Process(target=_forked_run, args=args)
-            with send:  # closed once forked, so the pipe ends when its run does
+        for k in range(runs):
+            segments = range(m * k // runs, m * (k + 1) // runs)
+            end, theirs = context.Pipe()
+            ends.append(end)
+            args = (cset, spec, factory, segments, ends, theirs)
+            process = context.Process(target=_forked_run, args=args, daemon=True)
+            with theirs:  # closed once forked, so the pipe ends when its run does
                 process.start()
-            started.append((receive, process, segments))
+            started.append((end, process, segments))
         matrices, answers = [], {}
-        for k, (receive, _, _) in enumerate(started):
-            while k not in answers:  # a later run whose process ends meanwhile is read at once
-                ends = {receive: k} | {run[1].sentinel: j for j, run in enumerate(started)
-                                       if j > k and j not in answers}
-                for j in map(ends.get, wait(list(ends))):
+        for k in range(runs):
+            while k not in answers:  # a later run that answers or dies meanwhile is read at once
+                unread = {end: j for j, end in enumerate(ends) if j not in answers}
+                for j in map(unread.get, wait(list(unread))):
                     answers[j] = _answer(*started[j])  # so a dead run raises here
             if isinstance(answers[k], Exception):
                 raise answers[k]
-            matrices += answers.pop(k)
+            matrices += answers[k]
         return matrices
-    finally:  # after a failure or an interrupt the other runs stop before their next segment
-        stop.set()
-        for receive in receives:  # a run still sending gets a broken pipe once later runs exit
-            receive.close()
+    finally:  # closing its end stops each run before its next segment
+        for end in ends:
+            end.close()
         for _, process, _ in started:  # joined, not terminated: each run closes its scorer first
             process.join()
             process.close()

@@ -1,9 +1,14 @@
-"""Shared test data and helpers: toy chat documents, their JSONL form, a memory probe."""
+"""Shared test data and helpers: toy chat documents, their JSONL form, a memory probe,
+and child processes that a failing or hung test cannot leave behind."""
 
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
 import tracemalloc
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from mbrforge.promptgen import ChatDocument, ChatTurn
@@ -127,3 +132,24 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def alive(pid: int) -> bool:
+    """Whether process ``pid`` is running: a zombie has ended, reaped or not."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat_file:
+            return stat_file.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@contextmanager
+def process_group(argv: list[str], **popen):
+    """``argv`` started as the leader of a new session, whose whole process
+    group is SIGKILLed on the way out, so nothing it started outlives the test."""
+    with subprocess.Popen(argv, start_new_session=True, **popen) as proc:
+        try:
+            yield proc
+        finally:
+            with suppress(ProcessLookupError):  # the group has ended already
+                os.killpg(proc.pid, signal.SIGKILL)

@@ -19,6 +19,7 @@ import textwrap
 import threading
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,8 @@ from mbrforge.textio import read_segments
 from fixtures import (
     GOLDEN_DIR,
     TOY_DEMOS,
+    alive,
+    process_group,
     read_golden,
     toy_chat_doc,
     toy_chat_doc_2turn,
@@ -318,6 +321,104 @@ class TestMbrCommand:
         pids = [int(pid) for line in pid_file.read_text().splitlines() for pid in line.split()]
         assert len(pids) == 4
         assert not [pid for pid in pids if alive(pid)]
+
+    def test_sigterm_stops_runs_whose_answers_outgrow_a_pipe(self, tmp_path):
+        # 200 segments of 64 distinct candidates under native chrF, so each
+        # segment's matrix pickles to about 37 KB.  Each scored segment
+        # appends its worker's pid to a log, and SIGTERM reaches mbr alone
+        # once each run has scored ten, so each holds more than its pipe can
+        # buffer.  The runs stop, their sends break, and mbr exits 143.
+        log = tmp_path / "scored"
+        code = textwrap.dedent("""\
+            import os, sys
+            from mbrforge import cli, mbr
+
+            make_scorer = mbr.make_scorer
+
+            def logged_scorer(spec):
+                scorer = make_scorer(spec)
+
+                def score(triples):
+                    scores = scorer(triples)
+                    fd = os.open(sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+                    os.write(fd, f"{os.getpid()}\\n".encode())
+                    os.close(fd)
+                    return scores
+
+                return score
+
+            mbr.make_scorer = logged_scorer
+            sys.exit(cli.main(sys.argv[2:]))
+        """)
+        segments = range(200)
+        argv = [sys.executable, "-c", code, str(log), "mbr", "--out", str(tmp_path / "out.txt"),
+                "--src", str(write_lines(tmp_path / "src.txt", [f"s{i}" for i in segments])),
+                "--workers", "2"]
+        for c in range(64):
+            lines = [f"segment {i} candidate {c}" for i in segments]
+            argv += ["--cand", str(write_lines(tmp_path / f"c{c}.txt", lines))]
+        with process_group(argv, stderr=subprocess.PIPE, text=True) as proc:
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                counts = Counter(log.read_text().split()) if log.exists() else Counter()
+                if len(counts) == 2 and min(counts.values()) >= 10:
+                    break
+                time.sleep(0.02)
+            assert len(counts) == 2 and min(counts.values()) >= 10
+            proc.send_signal(signal.SIGTERM)
+            _out, err = proc.communicate(timeout=10)
+        assert proc.returncode == 128 + signal.SIGTERM
+        assert err == "mbrforge: interrupted (SIGTERM)\n"
+        assert not (tmp_path / "out.txt").exists()
+        assert not [pid for pid in map(int, counts) if alive(pid)]
+
+    def test_workers_stop_when_mbr_is_killed(self, tmp_path):
+        # SIGKILL cannot be caught, but it closes mbr's pipe ends, so each run
+        # stops before its next segment and closes its scorer.  Ten segments a
+        # run, each 4 requests of 0.25 s: each run has about 9 s of segments
+        # left when mbr dies.
+        pid_file = tmp_path / "pids"
+        scorer = [sys.executable, DOUBLES, "record-pid", str(pid_file), "delayed-echo"]
+        argv = [sys.executable, "-m", "mbrforge.cli", "mbr", "--out", str(tmp_path / "out.txt"),
+                "--src", str(write_lines(tmp_path / "src.txt", ["0.25"] * 20)),
+                "--utility", "external", "--external-cmd", shlex.join(scorer), "--workers", "2"]
+        for name, number in (("a", "1"), ("b", "2")):
+            argv += ["--cand", str(write_lines(tmp_path / f"{name}.txt", [number] * 20))]
+        with process_group(argv, stderr=subprocess.DEVNULL) as proc:
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and (
+                not pid_file.exists() or pid_file.read_text().count("\n") < 2
+            ):
+                time.sleep(0.02)
+            proc.kill()
+            pids = [int(pid) for line in pid_file.read_text().splitlines() for pid in line.split()]
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and [pid for pid in pids if alive(pid)]:
+                time.sleep(0.05)
+            assert len(pids) == 4  # two scorers and the two workers that started them
+            assert not [pid for pid in pids if alive(pid)]
+
+    def test_a_second_sigterm_ends_mbr_at_once(self, tmp_path):
+        # The first SIGTERM stops the runs, which would finish the segment at
+        # hand, 4 requests of 3 s each, before closing their scorers; the
+        # second ends mbr at once, and its exit ends the runs.  stderr is not
+        # checked: the scorers share it.
+        pid_file = tmp_path / "pids"
+        argv = self.two_worker_argv(tmp_path, ["3", "3"], sys.executable, DOUBLES,
+                                    "record-pid", str(pid_file), "delayed-echo")
+        with process_group(argv, stderr=subprocess.DEVNULL) as proc:
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and (
+                not pid_file.exists() or pid_file.read_text().count("\n") < 2
+            ):
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGTERM)
+            time.sleep(0.5)  # two signals close together may run the handler once
+            proc.send_signal(signal.SIGTERM)
+            start = time.monotonic()
+            assert proc.wait(timeout=10) == 128 + signal.SIGTERM
+            assert time.monotonic() - start < 2
+        assert not (tmp_path / "out.txt").exists()
 
     @pytest.mark.parametrize("failing", [1, 2], ids=["first-fork", "second-fork"])
     def test_a_failed_fork_is_an_io_error_in_one_line(self, tmp_path, monkeypatch, capsys,
@@ -739,15 +840,6 @@ class TestCorpusCommands:
         assert rc == EXIT_OK
         assert (tmp_path / "again.src").read_bytes() == (tmp_path / "all.src").read_bytes()
         assert (tmp_path / "again.meta").read_bytes() == (tmp_path / "all.meta").read_bytes()
-
-
-def alive(pid: int) -> bool:
-    """Whether process ``pid`` is running: a zombie has ended, reaped or not."""
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as stat_file:
-            return stat_file.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
 
 
 def files_in(directory: Path) -> dict[str, bytes | None]:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import os
+import re
 import signal
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 from pathlib import Path
@@ -32,6 +35,7 @@ from mbrforge.mbr import (
     utility_matrix,
 )
 from mbrforge.metrics import tokenize
+from fixtures import process_group
 from oracles import oracle_bleu, oracle_chrf, oracle_mbr_row
 
 DOUBLES = str(Path(__file__).parent / "doubles.py")
@@ -520,6 +524,49 @@ class TestWorkers:
             "segments 10..19: their process ended without an answer (Killed)"
         )
 
+    def test_a_failure_waits_for_no_stopped_run_to_send(self):
+        # Two runs of ten segments of 64 distinct candidates, so each
+        # segment's matrix pickles to about 37 KB and a run's answer soon
+        # outgrows a pipe's buffer.  Each takes 0.2 s a segment, and run 0's
+        # scorer returns no scores once 1 s has passed.  The caller raises at
+        # once: run 1 stops, and its send breaks on the pipe the caller closed.
+        code = textwrap.dedent("""\
+            import time
+            from mbrforge.errors import DataError
+            from mbrforge.mbr import CandidateSet, UtilitySpec, make_scorer, segment_matrices
+
+            spec = UtilitySpec(kind="native-chrf")
+            cset = CandidateSet(
+                sources=tuple(f"s{i}" for i in range(20)),
+                systems=tuple(f"sys{c}" for c in range(64)),
+                candidates=tuple(tuple(f"segment {i} candidate {c}" for c in range(64))
+                                 for i in range(20)),
+            )
+            start = time.monotonic()
+
+            def factory():
+                native = make_scorer(spec)
+
+                def score(triples):
+                    if int(triples[0][0][1:]) < 10 and time.monotonic() - start > 1:
+                        return []
+                    time.sleep(0.2)
+                    return native(triples)
+
+                return score
+
+            try:
+                segment_matrices(cset, spec, workers=2, scorer_factory=factory)
+            except DataError as exc:
+                print(f"{time.monotonic() - start:.2f} {exc}")
+        """)
+        with process_group([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                           text=True) as proc:
+            out, _err = proc.communicate(timeout=10)
+        seconds, message = out.split(" ", 1)
+        assert float(seconds) < 5
+        assert re.fullmatch(r"segment \d: scorer returned 0 scores for 4096 pairs\n", message)
+
     def test_a_stopped_run_makes_no_scorer(self):
         stop = threading.Event()
         stop.set()
@@ -527,7 +574,8 @@ class TestWorkers:
         def factory():
             raise AssertionError("a stopped run made a scorer")
 
-        assert mbr._score_run(numbered_segments(3), UtilitySpec(), factory, range(3), stop) == []
+        assert mbr._score_run(numbered_segments(3), UtilitySpec(), factory, range(3),
+                              stop.is_set) == []
 
 
 class TestExternalUtility:
