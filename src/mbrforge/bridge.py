@@ -266,7 +266,8 @@ def run_scorer_loop(
     Reads UTF-8 request lines until EOF and answers each request with
     ``repr(float(score_fn(request)))``, so a numpy or torch scalar is
     written as a plain number, and each blank line with a blank line.
-    Every line written is flushed at once.  A line that is not UTF-8 raises
+    Every line written is flushed at once; once the client has closed its
+    end, the loop returns.  A line that is not UTF-8 raises
     ``ProtocolError`` naming its line number and byte offset.
     """
     stdin = stdin if stdin is not None else sys.stdin.buffer
@@ -283,5 +284,10 @@ def run_scorer_loop(
                     ) from None
                 request = decode_request(text)
             line = repr(float(score_fn(request))).encode()
-        stdout.write(line + b"\n")
-        stdout.flush()
+        try:
+            stdout.write(line + b"\n")
+            stdout.flush()
+        except BrokenPipeError:  # the client has gone: end quietly
+            with open(os.devnull, "wb") as null:  # so the exit-time flush cannot fail again
+                os.dup2(null.fileno(), stdout.fileno())
+            return

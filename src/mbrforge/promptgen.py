@@ -12,9 +12,7 @@ Two line-oriented layouts over bilingual chat turns:
 
 All renders are byte-deterministic; every colon is followed by exactly
 one space (the layouts are normalized to that rule).  Each line layout is
-one template; the renderers fill it in and the parsers match the pattern
-built from it, so a parse recovers the fields exactly as long as segments
-do not embed the label strings themselves.
+one template, and the renderers fill it in.
 """
 
 from __future__ import annotations
@@ -184,81 +182,6 @@ def render_fewshot_turn(doc: ChatDocument, index: int, k: int) -> RenderedPrompt
     demos = [demo for _, demo in zip(range(k), pool)]  # islice rejects k < 0 and k > maxsize
     prompt = render_fewshot(demos, query.source, langs, k=k)
     return RenderedPrompt(prompt.text, query.reference or "")
-
-
-class ParsedPrompt(NamedTuple):
-    """Fields recovered from a rendered prompt."""
-
-    # One (src_lang, tgt_lang, source, mt, reference) per line, ChatTurn's field order.
-    history: tuple[tuple[str, str, str, str, str | None], ...]
-    instruction_lang: str
-    query_src_lang: str
-    query_tgt_lang: str
-    query_source: str
-    query_mt: str | None
-
-
-def _pattern(template: str, lang: str = "[^:]+") -> str:
-    """The regex for a line filled in from ``template``.
-
-    A ``*_lang`` field matches ``lang``, any other field ``.*``, and a
-    field that appears again must repeat its first value.
-    """
-    pieces = re.split(r"\{(?:0\.)?(\w+)\}", template)
-    pattern, seen = re.escape(pieces[0]), set()
-    for name, literal in zip(pieces[1::2], pieces[2::2]):
-        if name in seen:
-            pattern += f"(?P={name})"
-        else:
-            seen.add(name)
-            pattern += f"(?P<{name}>{lang if name.endswith('_lang') else '.*'})"
-        pattern += re.escape(literal)
-    return pattern
-
-
-def _fields(template: str, line: str, name: str) -> dict[str, str]:
-    match = re.fullmatch(_pattern(template), line)
-    if not match:
-        raise DataError(f"unparsable {name} line: {line!r}")
-    return match.groupdict()
-
-
-def _parse(
-    text: str, line_template: str, line_name: str, query_template: str, query_name: str
-) -> ParsedPrompt:
-    lines = text.split("\n")
-    for pos, line in enumerate(lines):
-        # Any language fills the instruction line; the others need one without ":".
-        match = re.fullmatch(_pattern(INSTRUCTION_TEMPLATE, lang=".+"), line)
-        if match:
-            if pos != len(lines) - 2:
-                raise DataError("instruction line is not followed by exactly the query line")
-            break
-    else:
-        raise DataError("no instruction line found in rendered prompt")
-    history = []
-    for line in lines[:pos]:
-        turn = _fields(line_template, line, line_name)
-        history.append(tuple(map(turn.get, ChatTurn._fields[1:])))  # all but speaker
-    query = _fields(query_template, lines[-1], query_name)
-    return ParsedPrompt(
-        history=tuple(history),
-        instruction_lang=match["tgt_lang"],
-        query_src_lang=query["src_lang"],
-        query_tgt_lang=query["tgt_lang"],
-        query_source=query["source"],
-        query_mt=query.get("mt"),
-    )
-
-
-def parse_stream(text: str) -> ParsedPrompt:
-    """Recover the fields of a streaming render."""
-    return _parse(text, _HISTORY_LINE, "stream history", _STREAM_QUERY, "stream query")
-
-
-def parse_context(text: str) -> ParsedPrompt:
-    """Recover the fields of a context-aware render."""
-    return _parse(text, _CONTEXT_LINE, "context", _CONTEXT_QUERY, "context query")
 
 
 def read_chat_documents(path: str | Path) -> list[ChatDocument]:

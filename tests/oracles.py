@@ -4,7 +4,8 @@ Everything here recomputes scores from first principles with naive
 enumeration (explicit position loops, list.count) and stays deliberately
 ignorant of the library's counting machinery.  Final formulas follow the
 same operation order as their definitions so exact float comparison is
-meaningful where tests ask for it.
+meaningful where tests ask for it.  The prompt layouts are spelled out
+line by line, without the library's templates.
 """
 
 from __future__ import annotations
@@ -258,3 +259,36 @@ def oracle_rdrop(p, q):
         if qi > 0.0:
             backward += qi * math.log(qi / pi)
     return 0.5 * (forward + backward)
+
+
+def _instruction_line(lang):
+    return f"Translate the following sentence into {lang} with a style bias towards Natural:"
+
+
+def oracle_stream_text(history, query):
+    """A streaming prompt: one line per history turn, the instruction, the query.
+
+    Each turn has the fields src_lang, tgt_lang, source, mt and reference.
+    """
+    lines = []
+    for t in history:
+        lines.append(
+            f"Natural {t.src_lang}: {t.source}, Translated {t.tgt_lang}: {t.mt}, "
+            f"Natural {t.tgt_lang}: {t.reference}"
+        )
+    lines.append(_instruction_line(query.tgt_lang))
+    lines.append(
+        f"Natural {query.src_lang}: {query.source}, Translated {query.tgt_lang}: {query.mt}, "
+        f"Natural {query.tgt_lang}: "
+    )
+    return "\n".join(lines)
+
+
+def oracle_context_text(window, query):
+    """A context-aware prompt: one line per window turn, the instruction, the query."""
+    lines = []
+    for t in window:
+        lines.append(f"Natural {t.src_lang}: {t.source}, Translated {t.tgt_lang}: {t.mt}")
+    lines.append(_instruction_line(query.tgt_lang))
+    lines.append(f"Natural {query.src_lang}: {query.source}, Natural {query.tgt_lang}: ")
+    return "\n".join(lines)

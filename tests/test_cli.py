@@ -401,12 +401,14 @@ class TestMbrCommand:
     def test_a_second_sigterm_ends_mbr_at_once(self, tmp_path):
         # The first SIGTERM stops the runs, which would finish the segment at
         # hand, 4 requests of 3 s each, before closing their scorers; the
-        # second ends mbr at once, and its exit ends the runs.  stderr is not
-        # checked: the scorers share it.
+        # second ends mbr at once, and its exit ends the runs.  Each scorer
+        # then finds its client gone at its next reply and ends quietly, so
+        # the stderr they share with mbr holds mbr's one line.
         pid_file = tmp_path / "pids"
         argv = self.two_worker_argv(tmp_path, ["3", "3"], sys.executable, DOUBLES,
                                     "record-pid", str(pid_file), "delayed-echo")
-        with process_group(argv, stderr=subprocess.DEVNULL) as proc:
+        with process_group(argv, stderr=subprocess.PIPE, text=True,
+                           env={**os.environ, "PYTHONPATH": str(SRC)}) as proc:
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline and (
                 not pid_file.exists() or pid_file.read_text().count("\n") < 2
@@ -418,6 +420,13 @@ class TestMbrCommand:
             start = time.monotonic()
             assert proc.wait(timeout=10) == 128 + signal.SIGTERM
             assert time.monotonic() - start < 2
+            scorers = [int(line.split()[0]) for line in pid_file.read_text().splitlines()]
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and [pid for pid in scorers if alive(pid)]:
+                time.sleep(0.05)
+            assert len(scorers) == 2 and not [pid for pid in scorers if alive(pid)]
+            _out, err = proc.communicate(timeout=10)
+        assert err == "mbrforge: interrupted (SIGTERM)\n"
         assert not (tmp_path / "out.txt").exists()
 
     @pytest.mark.parametrize("failing", [1, 2], ids=["first-fork", "second-fork"])
@@ -570,6 +579,23 @@ class TestMbrCommand:
             ],
             "--bridge-batch-size", str(batch_size), "--workers", str(workers),
         )
+
+    @pytest.mark.parametrize(
+        "scorer", [[str(SCRIPTS / "chrf_scorer.py")], [DOUBLES, "echo-mt"]],
+        ids=["chrf_scorer", "echo-mt"],
+    )
+    def test_scorer_ends_quietly_when_its_client_goes(self, scorer):
+        # The client has closed its end of the replies, as a stopped mbr
+        # has, and sends a batch: the scorer exits 0 and prints nothing.
+        read_end, write_end = os.pipe()
+        with subprocess.Popen([sys.executable, "-X", "dev", *scorer], stdin=subprocess.PIPE,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}) as proc:
+            os.close(write_end)
+            os.close(read_end)
+            _out, err = proc.communicate(b"s\t1\tr\n" * 50 + b"\n", timeout=30)
+        assert proc.returncode == 0
+        assert err == b""
 
 
 class TestEvalCommand:

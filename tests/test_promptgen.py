@@ -1,4 +1,4 @@
-"""Prompt renderers: byte-exact goldens, parsers, JSONL ingestion."""
+"""Prompt renderers: byte-exact goldens and oracle, JSONL ingestion."""
 
 from __future__ import annotations
 
@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 
 from mbrforge.errors import DataError
 from mbrforge.promptgen import (
-    INSTRUCTION_TEMPLATE,
     ChatDocument,
     ChatTurn,
-    parse_context,
-    parse_stream,
     read_chat_documents,
     render_context,
     render_fewshot,
@@ -31,6 +28,7 @@ from fixtures import (
     toy_chat_doc_2turn,
     write_doc_jsonl,
 )
+from oracles import oracle_context_text, oracle_stream_text
 
 field_st = st.text(alphabet="ab c,", min_size=1, max_size=12).filter(
     lambda s: s.strip() == s and s != ""
@@ -125,21 +123,6 @@ class TestStream:
         with pytest.raises(DataError):
             render_stream(toy_chat_doc(), index=0, k_history=-1)
 
-    def test_parse_round_trip(self):
-        doc = toy_chat_doc()
-        parsed = parse_stream(render_stream(doc, index=4, k_history=3).text)
-        assert parsed.instruction_lang == "German"
-        assert parsed.query_source == "Sure, take your time."
-        assert parsed.query_mt == "Sicher, nehmen Sie sich Zeit."
-        assert len(parsed.history) == 3
-        assert parsed.history[1] == (
-            "English",
-            "German",
-            "It is 4711.",
-            "Es ist 4711.",
-            "Sie lautet 4711.",
-        )
-
 
 class TestContext:
     def test_window_clipped_at_edges(self):
@@ -164,14 +147,6 @@ class TestContext:
     def test_negative_window(self):
         with pytest.raises(DataError):
             render_context(toy_chat_doc(), index=0, before=-1, after=0)
-
-    def test_parse_round_trip(self):
-        parsed = parse_context(render_context(toy_chat_doc(), index=2, before=2, after=2).text)
-        assert parsed.instruction_lang == "German"
-        assert parsed.query_source == "It is 4711."
-        assert parsed.query_mt is None
-        assert len(parsed.history) == 5
-        assert parsed.history[0][2] == "Hello, I need help with my order."
 
 
 class TestFewshot:
@@ -310,26 +285,13 @@ class TestTurnValidation:
             ChatDocument(doc_id="d", turns=(make_turn(), bad))
 
 
-class TestParsers:
-    def test_no_instruction_line(self):
-        with pytest.raises(DataError, match="no instruction line"):
-            parse_stream("just some text")
-
-    def test_instruction_must_precede_query(self):
-        text = (
-            "Translate the following sentence into German with a style bias towards Natural:\n"
-            "stray\n"
-            "Natural English: x, Translated German: y, Natural German: "
-        )
-        with pytest.raises(DataError, match="exactly the query line"):
-            parse_stream(text)
-
+class TestLayouts:
     @given(
         st.lists(st.tuples(field_st, field_st, field_st), min_size=0, max_size=3),
         field_st,
         field_st,
     )
-    def test_stream_round_trip_property(self, history_fields, query_source, query_mt):
+    def test_stream_matches_oracle(self, history_fields, query_source, query_mt):
         turns = [
             make_turn(
                 src_lang="English",
@@ -351,10 +313,8 @@ class TestParsers:
         )
         doc = ChatDocument(doc_id="prop", turns=tuple(turns))
         index = len(turns) - 1
-        parsed = parse_stream(render_stream(doc, index, k_history=len(history_fields)).text)
-        assert parsed.query_source == query_source
-        assert parsed.query_mt == query_mt
-        assert parsed.history == tuple(tuple(turn)[1:] for turn in turns[:-1])
+        text = render_stream(doc, index, k_history=len(history_fields)).text
+        assert text == oracle_stream_text(turns[:-1], turns[-1])
 
     @given(
         st.lists(st.tuples(field_st, field_st), min_size=1, max_size=5),
@@ -363,7 +323,7 @@ class TestParsers:
         st.integers(0, 3),
         st.booleans(),
     )
-    def test_context_round_trip_property(self, fields, index, before, after, own_line):
+    def test_context_matches_oracle(self, fields, index, before, after, own_line):
         index %= len(fields)
         langs = ("English", "German")
         turns = tuple(
@@ -372,55 +332,12 @@ class TestParsers:
         )
         doc = ChatDocument(doc_id="prop", turns=turns)
         text = render_context(doc, index, before, after, include_query_context=own_line).text
-        parsed = parse_context(text)
         window = [
-            (turn.src_lang, turn.tgt_lang, turn.source, turn.mt, None)
+            turn
             for pos, turn in enumerate(turns)
             if index - before <= pos <= index + after and (own_line or pos != index)
         ]
-        query = turns[index]
-        assert parsed.history == tuple(window)
-        assert parsed.instruction_lang == query.tgt_lang
-        assert parsed.query_src_lang == query.src_lang
-        assert parsed.query_tgt_lang == query.tgt_lang
-        assert parsed.query_source == query.source
-        assert parsed.query_mt is None
-
-    @pytest.mark.parametrize(
-        "parse,head,query,message",
-        [
-            (
-                parse_stream,
-                "Natural English: a, Translated German: b\n",
-                "Natural English: x, Translated German: y, Natural German: ",
-                "unparsable stream history line: 'Natural English: a, Translated German: b'",
-            ),
-            (
-                parse_stream,
-                "",
-                "Natural English: x, Natural German: ",
-                "unparsable stream query line: 'Natural English: x, Natural German: '",
-            ),
-            (
-                parse_context,
-                "Natural English: a\n",
-                "Natural English: x, Natural German: ",
-                "unparsable context line: 'Natural English: a'",
-            ),
-            (
-                parse_context,
-                "",
-                "Natural English: x, German: ",
-                "unparsable context query line: 'Natural English: x, German: '",
-            ),
-        ],
-        ids=["stream-history", "stream-query", "context", "context-query"],
-    )
-    def test_garbled_line_is_named(self, parse, head, query, message):
-        text = head + INSTRUCTION_TEMPLATE.format(tgt_lang="German") + "\n" + query
-        with pytest.raises(DataError) as exc_info:
-            parse(text)
-        assert str(exc_info.value) == message
+        assert text == oracle_context_text(window, turns[index])
 
 
 class TestJsonlReader:

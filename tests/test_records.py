@@ -17,7 +17,7 @@ from mbrforge.checkpoint import LoraAdapter
 from mbrforge.errors import DataError
 from mbrforge.mbr import CandidateSet, MbrSelection, UtilityMatrix, UtilitySpec
 from mbrforge.metrics import MetricScore
-from mbrforge.promptgen import ChatDocument, ChatTurn, ParsedPrompt, RenderedPrompt
+from mbrforge.promptgen import ChatDocument, ChatTurn, RenderedPrompt
 from mbrforge.selftrain import FilterConfig, ParallelCorpus
 
 TURN = ChatTurn("customer", "en", "de", "Hi", "Hallo")
@@ -35,7 +35,6 @@ RECORDS = [
     (TURN, "source"),
     (ChatDocument("d", (TURN,)), "turns"),
     (RenderedPrompt("text", "completion"), "completion"),
-    (ParsedPrompt((), "de", "en", "de", "Hi", None), "query_source"),
     (ADAPTER, "alpha"),
 ]
 
