@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import signal
 from contextlib import suppress
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -123,21 +122,21 @@ def make_scorer(spec: UtilitySpec) -> BatchScorer:
     """Build a batch scorer for a utility spec.
 
     Native BLEU is add-k smoothed sentence BLEU on punctuation-split
-    tokens; native chrF is sentence chrF.  Both score the call's pairs
-    through ``metrics.pair_stats`` with the fixed parameters of
-    ``metrics``.  External scorers own a child process; call
-    ``close_scorer`` when done.
+    tokens; native chrF is sentence chrF.  Both map ``metrics.bleu_value``
+    or ``metrics.chrf_value`` over ``metrics.pair_stats`` of the call's
+    pairs, so they build floats and no score record.  External scorers
+    own a child process; call ``close_scorer`` when done.
     """
     if spec.kind != "external":
         if spec.kind == "native-bleu":
             features = lambda text: metrics.word_ngram_counts(metrics.tokenize(text))
-            score_stats = partial(metrics.score_from_bleu_stats, smoothing="add-k")
+            value = lambda stats: metrics.bleu_value(stats, "add-k")[0]
         else:
-            features, score_stats = metrics.char_ngram_counts, metrics.score_from_chrf_stats
+            features, value = metrics.char_ngram_counts, metrics.chrf_value
 
         def score_native(triples: Sequence[tuple[str, str, str]]) -> list[float]:
             pairs = [(mt, ref) for _src, mt, ref in triples]
-            return [score_stats(stats).value for stats in metrics.pair_stats(pairs, features)]
+            return list(map(value, metrics.pair_stats(pairs, features)))
 
         return score_native
 

@@ -19,13 +19,15 @@ extraction.  Orders where neither side has any n-grams are excluded from
 the average; two empty segments therefore score a vacuous 100.
 
 Both metrics share one statistics format, ``NgramStats``: per n-gram
-order, the tuple ``(hyp_total, ref_total, matched)``.  ``ngram_stats``
-builds it from per-order totals and clipped matches, and corpus scores sum
-it per order.  One pair loop, ``pair_stats``, builds it for single-reference
+order, the tuple ``(hyp_total, ref_total, matched)``; corpus scores sum it
+per order.  One pair loop, ``pair_stats``, builds it for single-reference
 pairs: sentence chrF, corpus chrF and BLEU and both native MBR utilities
 call it, and it counts each distinct string and each unordered pair once
 per call.  ``bleu_stats`` is the multi-reference statistic of sentence
 BLEU.  BLEU's hypothesis and reference lengths are the unigram totals.
+``chrf_value`` and ``bleu_value`` turn statistics into floats; only the
+four public metric functions wrap them in a ``MetricScore``, and native
+MBR scores the floats alone.
 
 One builder, ``ngram_counts``, counts the n-grams of both metrics: each
 order is the order below joined with the next unit by ``map``, in C, over
@@ -151,13 +153,6 @@ def ngram_matches(a: NgramCounts, b: NgramCounts) -> tuple[int, ...]:
     return tuple(map(_clipped_matches, a, b))
 
 
-def ngram_stats(
-    hyp_totals: Sequence[int], ref_totals: Sequence[int], matches: Sequence[int]
-) -> NgramStats:
-    """Per-order ``(hyp_total, ref_total, matched)`` statistics of one pairing."""
-    return list(zip(hyp_totals, ref_totals, matches))
-
-
 def pair_stats(
     pairs: Sequence[tuple[Any, Any]], features: Callable[[Any], NgramCounts]
 ) -> list[NgramStats]:
@@ -183,7 +178,7 @@ def pair_stats(
         key = (i, j) if i <= j else (j, i)
         if key not in matched:
             matched[key] = totals[i] if i == j else ngram_matches(counts[i], counts[j])
-        stats.append(ngram_stats(totals[i], totals[j], matched[key]))
+        stats.append(list(zip(totals[i], totals[j], matched[key])))
     return stats
 
 
@@ -218,11 +213,11 @@ def bleu_stats(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> NgramStats:
         key=lambda totals: (abs(totals[0] - hyp_totals[0]), totals[0]),
     )
     merged = tuple(reduce(operator.or_, grams) for grams in zip(*ref_counts))
-    return ngram_stats(hyp_totals, ref_totals, ngram_matches(hyp_counts, merged))
+    return list(zip(hyp_totals, ref_totals, ngram_matches(hyp_counts, merged)))
 
 
-def score_from_bleu_stats(stats: NgramStats, smoothing: str = "none") -> MetricScore:
-    """Turn (summed) BLEU statistics into a score.
+def bleu_value(stats: NgramStats, smoothing: str = "none") -> tuple[float, float]:
+    """The BLEU ``(value, brevity_penalty)`` of (summed) statistics.
 
     The lengths are the unigram entries: ``hyp_len, ref_len, _ = stats[0]``.
     With ``smoothing="none"`` any zero precision at an order the
@@ -235,7 +230,7 @@ def score_from_bleu_stats(stats: NgramStats, smoothing: str = "none") -> MetricS
     if hyp_len == 0:
         # Empty hypothesis: 0 against any real reference, vacuously perfect
         # against an empty one (keeps corpus micro-averaging total).
-        return MetricScore(100.0 if ref_len == 0 else 0.0)
+        return (100.0 if ref_len == 0 else 0.0), 1.0
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     k = ADD_K if smoothing == "add-k" else 0  # unsmoothed stays int / int
     log_sum = 0.0
@@ -245,17 +240,17 @@ def score_from_bleu_stats(stats: NgramStats, smoothing: str = "none") -> MetricS
             continue
         p = (match + k) / (total + k)
         if p == 0.0:  # only without smoothing
-            return MetricScore(0.0, brevity_penalty=bp)
+            return 0.0, bp
         log_sum += math.log(p)
         included += 1
-    return MetricScore(min(100.0 * bp * math.exp(log_sum / included), 100.0), brevity_penalty=bp)
+    return min(100.0 * bp * math.exp(log_sum / included), 100.0), bp
 
 
 def sentence_bleu(
     hyp: Sequence[str], refs: Sequence[Sequence[str]], smoothing: str = "none"
 ) -> MetricScore:
     """BLEU of one tokenized hypothesis against one or more references."""
-    return score_from_bleu_stats(bleu_stats(hyp, refs), smoothing)
+    return MetricScore(*bleu_value(bleu_stats(hyp, refs), smoothing))
 
 
 def corpus_bleu(
@@ -269,7 +264,7 @@ def corpus_bleu(
     scoring.
     """
     stats = corpus_stats(list(map(tuple, hyps)), list(map(tuple, refs)), word_ngram_counts)
-    return score_from_bleu_stats(stats, smoothing)
+    return MetricScore(*bleu_value(stats, smoothing))
 
 
 def char_ngram_counts(segment: str) -> NgramCounts:
@@ -277,7 +272,7 @@ def char_ngram_counts(segment: str) -> NgramCounts:
     return ngram_counts("".join(segment.split()), CHRF_ORDER)
 
 
-def score_from_chrf_stats(stats: NgramStats) -> MetricScore:
+def chrf_value(stats: NgramStats) -> float:
     """Per-order F-beta, then the arithmetic mean over contributing orders.
 
     Orders where both sides have zero n-grams are excluded; if every order
@@ -296,16 +291,15 @@ def score_from_chrf_stats(stats: NgramStats) -> MetricScore:
             f = (1 + beta_sq) * precision * recall / (beta_sq * precision + recall)
         included.append(f)
     if not included:
-        return MetricScore(100.0)
-    value = 100.0 * sum(included) / len(included)
-    return MetricScore(min(value, 100.0))
+        return 100.0
+    return min(100.0 * sum(included) / len(included), 100.0)
 
 
 def sentence_chrf(hyp: str, ref: str) -> MetricScore:
     """chrF of one hypothesis segment against one reference segment."""
-    return score_from_chrf_stats(pair_stats([(hyp, ref)], char_ngram_counts)[0])
+    return MetricScore(chrf_value(pair_stats([(hyp, ref)], char_ngram_counts)[0]))
 
 
 def corpus_chrf(hyps: Sequence[str], refs: Sequence[str]) -> MetricScore:
     """Micro-averaged chrF: per-order counts summed over segments first."""
-    return score_from_chrf_stats(corpus_stats(hyps, refs, char_ngram_counts))
+    return MetricScore(chrf_value(corpus_stats(hyps, refs, char_ngram_counts)))

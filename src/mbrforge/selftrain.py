@@ -20,8 +20,6 @@ from .textio import read_aligned, require_aligned, segment_lines, staged_outputs
 
 PROVENANCE_TAGS = ("genuine", "self-train", "back-translate")
 
-DEFAULT_BT_TAG = "<BT>"
-
 
 @validated
 class FilterConfig(NamedTuple):

@@ -13,19 +13,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixtures import traced_peak
+from mbrforge import metrics
 from mbrforge.errors import AlignmentError
 from mbrforge.mbr import UtilitySpec, make_scorer
 from mbrforge.metrics import (
     MetricScore,
     bleu_stats,
+    bleu_value,
     char_ngram_counts,
+    chrf_value,
     corpus_bleu,
     corpus_chrf,
     corpus_stats,
     ngram_counts,
     pair_stats,
-    score_from_bleu_stats,
-    score_from_chrf_stats,
     sentence_bleu,
     sentence_chrf,
     tokenize,
@@ -223,7 +224,7 @@ class TestChrfFrozen:
         # hyp "aab" vs ref "ab": order 1 P=2/3 R=1 -> F2 = 5*(2/3)/(4*(2/3)+1).
         stats = [(3, 2, 2)]
         expected = 100.0 * (5.0 * (2.0 / 3.0) * 1.0) / (4.0 * (2.0 / 3.0) + 1.0)
-        assert score_from_chrf_stats(stats).value == pytest.approx(expected, abs=1e-9)
+        assert chrf_value(stats) == pytest.approx(expected, abs=1e-9)
 
 
 class TestCorpus:
@@ -402,6 +403,24 @@ class TestExactStatistics:
             for _, hyp, ref in triples
         ]
 
+    def test_native_scorers_build_no_metric_score(self, monkeypatch):
+        # Native MBR scores floats: a record per pair would only be built
+        # to read its value.
+        segments = ["a b c.", "a b", "", "c, a b c", "a b c."]
+        triples = [("", hyp, ref) for hyp in segments for ref in segments]
+        chrf = [sentence_chrf(hyp, ref).value for _, hyp, ref in triples]
+        bleu = [
+            sentence_bleu(tokenize(hyp), [tokenize(ref)], smoothing="add-k").value
+            for _, hyp, ref in triples
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("native MBR built a MetricScore")
+
+        monkeypatch.setattr(metrics, "MetricScore", refuse)
+        assert make_scorer(UtilitySpec(kind="native-chrf"))(triples) == chrf
+        assert make_scorer(UtilitySpec(kind="native-bleu"))(triples) == bleu
+
 
 class TestExactScores:
     """Scores equal the oracles' floats exactly, not only within a tolerance.
@@ -460,7 +479,7 @@ class TestExactScores:
             assert corpus_stats(*token_tuples, word_ngram_counts) == summed, trial
             for smoothing in ("none", "add-k"):
                 got = corpus_bleu(hyps, refs, smoothing=smoothing).value
-                assert got == score_from_bleu_stats(summed, smoothing).value, (trial, smoothing)
+                assert got == bleu_value(summed, smoothing)[0], (trial, smoothing)
 
 
 class TestValidation:
@@ -487,14 +506,14 @@ class TestValidation:
 
     def test_score_from_empty_hyp_stats(self):
         stats = [(0, 3, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)]
-        assert score_from_bleu_stats(stats).value == 0.0
+        assert bleu_value(stats)[0] == 0.0
 
 
 def test_only_metrics_builds_ngram_statistics():
     # Totals, clipped matches and their statistics are built in metrics
     # alone, so a new match kernel or statistic changes one module.
     src = Path(__file__).parent.parent / "src" / "mbrforge"
-    names = re.compile(r"\b(ngram_totals|ngram_matches|ngram_stats|_clipped_matches)\b")
+    names = re.compile(r"\b(ngram_totals|ngram_matches|_clipped_matches)\b")
     found = {
         f"{path.name}:{number}"
         for path in sorted(src.glob("*.py"))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mbrforge.errors import AlignmentError, DataError
 from mbrforge.selftrain import (
-    DEFAULT_BT_TAG,
     FilterConfig,
     ParallelCorpus,
     apply_filter,
@@ -37,7 +36,7 @@ class TestSelfTrain:
 
 class TestBackTranslate:
     def test_orientation_and_tag(self):
-        corpus = build_bt_corpus(["Hallo"], ["Hello"], tag=DEFAULT_BT_TAG)
+        corpus = build_bt_corpus(["Hallo"], ["Hello"], tag="<BT>")
         assert corpus.pairs == (("<BT> Hello", "Hallo"),)
         assert corpus.provenance == ("back-translate",)
 
